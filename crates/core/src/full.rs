@@ -86,7 +86,7 @@ impl DynamicSizeCounting {
     /// Panics if `estimate == 0`.
     pub fn state_with_estimate(&self, estimate: u64) -> DscState {
         assert!(estimate >= 1, "an initial estimate must be at least 1");
-        let scaled = narrow_max(estimate * self.config.overestimate);
+        let scaled = narrow_max(self.config.overestimate, estimate);
         DscState {
             max: scaled,
             last_max: scaled,
@@ -149,7 +149,7 @@ impl Protocol for DynamicSizeCounting {
             || (pu == Phase::Reset && pv == Phase::Exchange)
             || (pu != Phase::Exchange && u.max != v.max)
         {
-            let grv = narrow_max(c.overestimate * u64::from(grv::grv_max(c.k, rng)));
+            let grv = narrow_max(c.overestimate, u64::from(grv::grv_max(c.k, rng)));
             // Tuple assignment: every right-hand side reads the *old* state.
             u.time = tau1 * i64::from(u.max.max(grv));
             u.interactions = 0;
@@ -166,7 +166,7 @@ impl Protocol for DynamicSizeCounting {
             // Only adopt when larger than the (overestimated) maximum, to
             // preserve synchronization (paper §3).
             if grv > u.max {
-                let scaled = narrow_max(c.overestimate * u64::from(grv));
+                let scaled = narrow_max(c.overestimate, u64::from(grv));
                 u.time = tau1 * i64::from(scaled);
                 u.max = scaled;
                 u.ticks += 1; // sets max, time, interactions ⇒ also a reset
@@ -231,8 +231,8 @@ impl Corruptible for DynamicSizeCounting {
         let c = &self.config;
         if rng.random_bool(0.5) {
             // Randomized reset: every field redrawn from its natural range.
-            let max = narrow_max(c.overestimate * u64::from(rng.random_range(1u32..=64)));
-            let last_max = narrow_max(c.overestimate * u64::from(rng.random_range(0u32..=64)));
+            let max = narrow_max(c.overestimate, u64::from(rng.random_range(1u32..=64)));
+            let last_max = narrow_max(c.overestimate, u64::from(rng.random_range(0u32..=64)));
             let ceiling = (c.tau1 as i64 * i64::from(max.max(last_max))).max(1);
             DscState {
                 max,
@@ -453,6 +453,15 @@ mod tests {
         assert_eq!((s.max, s.last_max), (60, 60));
         assert_eq!(s.time, 360); // τ1·60
         assert_eq!(p.reported_estimate(&s), 60);
+    }
+
+    /// The product `estimate · overestimate` is checked before narrowing:
+    /// wrapped in `u64`, it could land back inside the `u32` range.
+    #[test]
+    #[should_panic(expected = "packed u32 width")]
+    fn overflowing_initial_estimate_rejected() {
+        let p = DynamicSizeCounting::new(DscConfig::theory(16));
+        let _ = p.state_with_estimate(u64::MAX / 2);
     }
 
     #[test]

@@ -81,22 +81,26 @@ impl DscState {
     }
 }
 
-/// Narrows a freshly computed (scaled) maximum to the packed `u32` width,
-/// asserting at the old `u64` boundary. The paper's maxima are GRVs
-/// (≤ ~64 w.h.p.) times the overestimation factor; a value that does not
-/// fit `u32` means a configuration far outside the analyzed ranges, and
-/// wrapping silently would corrupt every phase and estimate readout — so
-/// the guard stays on in release builds too (it sits on the reset path,
-/// ~once per round per agent, next to a 16-fold GRV sample; not on the
-/// per-interaction path).
+/// Scales a maximum by the overestimation factor and narrows the product
+/// to the packed `u32` width. The paper's maxima are GRVs (≤ ~64 w.h.p.)
+/// times the overestimation factor; a product that does not fit `u32`
+/// means a configuration far outside the analyzed ranges, and wrapping
+/// silently would corrupt every phase and estimate readout — so the guard
+/// stays on in release builds too, and covers the multiplication itself
+/// (a wrapped `u64` product could land back inside the `u32` range). It
+/// sits on the reset path, ~once per round per agent, next to a 16-fold
+/// GRV sample; not on the per-interaction path.
 #[inline]
-pub(crate) fn narrow_max(value: u64) -> u32 {
-    assert!(
-        u32::try_from(value).is_ok(),
-        "scaled maximum {value} exceeds the packed u32 width \
-         (overestimate factor too large for the packed state layout)"
-    );
-    value as u32
+pub(crate) fn narrow_max(overestimate: u64, value: u64) -> u32 {
+    overestimate
+        .checked_mul(value)
+        .and_then(|scaled| u32::try_from(scaled).ok())
+        .unwrap_or_else(|| {
+            panic!(
+                "scaled maximum {overestimate}·{value} exceeds the packed u32 width \
+                 (overestimate factor too large for the packed state layout)"
+            )
+        })
 }
 
 impl MemoryFootprint for DscState {
@@ -156,7 +160,8 @@ mod tests {
 
     #[test]
     fn narrow_max_is_identity_in_range() {
-        assert_eq!(narrow_max(0), 0);
-        assert_eq!(narrow_max(u64::from(u32::MAX)), u32::MAX);
+        assert_eq!(narrow_max(1, 0), 0);
+        assert_eq!(narrow_max(1, u64::from(u32::MAX)), u32::MAX);
+        assert_eq!(narrow_max(20, 3), 60);
     }
 }

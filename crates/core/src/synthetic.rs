@@ -119,7 +119,7 @@ impl SyntheticDsc {
         let tau1 = c.tau1 as i64;
         match pending {
             Pending::Reset => {
-                let grv = crate::state::narrow_max(c.overestimate * u64::from(grv));
+                let grv = crate::state::narrow_max(c.overestimate, u64::from(grv));
                 u.time = tau1 * i64::from(u.max.max(grv));
                 u.interactions = 0;
                 u.last_max = u.max;
@@ -128,7 +128,7 @@ impl SyntheticDsc {
             }
             Pending::Backup => {
                 if grv > u.max {
-                    let scaled = crate::state::narrow_max(c.overestimate * u64::from(grv));
+                    let scaled = crate::state::narrow_max(c.overestimate, u64::from(grv));
                     u.time = tau1 * i64::from(scaled);
                     u.max = scaled;
                     u.ticks += 1;

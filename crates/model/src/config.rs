@@ -95,12 +95,18 @@ impl<S> Configuration<S> {
     /// Panics if `i == j` or either index is out of bounds.
     pub fn pair_mut(&mut self, i: usize, j: usize) -> (&mut S, &mut S) {
         assert_ne!(i, j, "an agent cannot interact with itself");
+        // One split at the larger index, then a select on `i < j` to order
+        // the two references. A uniform scheduler draws `i < j` with
+        // probability 1/2, so an `if i < j` around two split paths is a
+        // branch the predictor misses on every other interaction — at
+        // cache-resident n that miss cost more than the transition itself.
+        let (lo, hi) = (i.min(j), i.max(j));
+        let (left, right) = self.states.split_at_mut(hi);
+        let (low, high) = (&mut left[lo], &mut right[0]);
         if i < j {
-            let (left, right) = self.states.split_at_mut(j);
-            (&mut left[i], &mut right[0])
+            (low, high)
         } else {
-            let (left, right) = self.states.split_at_mut(i);
-            (&mut right[0], &mut left[j])
+            (high, low)
         }
     }
 
@@ -204,6 +210,26 @@ mod tests {
     fn pair_mut_rejects_self_interaction() {
         let mut c = Configuration::uniform(3, 0u8);
         let _ = c.pair_mut(1, 1);
+    }
+
+    #[test]
+    fn pair_mut_rejects_out_of_bounds() {
+        for (i, j) in [(3, 0), (0, 3)] {
+            let outcome = std::panic::catch_unwind(|| {
+                let mut c = Configuration::uniform(3, 0u8);
+                let _ = c.pair_mut(i, j);
+            });
+            let payload = outcome.expect_err("an out-of-bounds index must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("out of bounds"),
+                "({i}, {j}) panicked with {message:?}"
+            );
+        }
     }
 
     #[test]

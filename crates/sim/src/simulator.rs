@@ -582,14 +582,12 @@ impl<P: SizeEstimator, O: Observer<P>> Simulator<P, O> {
     /// Five-number summary of the agents' current estimates (full scan),
     /// or `None` when no agent reports an estimate.
     ///
-    /// For per-snapshot summaries at scale use [`Simulator::tracked`], whose
+    /// This is the same scan [`ScannedEstimates`](crate::ScannedEstimates)
+    /// runs at every snapshot, so the two always agree. For per-snapshot
+    /// summaries without a scan use [`Simulator::tracked`], whose
     /// [`EstimateTracker`] answers in O(1).
     pub fn estimate_stats(&self) -> Option<crate::series::EstimateSummary> {
-        let mut hist = crate::histogram::EstimateHistogram::new();
-        for s in self.config.iter() {
-            hist.add(self.protocol.estimate_bucket(s));
-        }
-        hist.summary()
+        crate::recording::scan_estimates(&self.protocol, self.config.as_slice())
     }
 
     /// Removes the `count` agents with the largest estimates (the
