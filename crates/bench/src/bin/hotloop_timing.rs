@@ -19,8 +19,8 @@
 //!
 //! * **plain** — raw `Simulator` stepping, no observer (`O = ()`);
 //! * **tracked** — stepping under the [`pp_sim::EstimateTracker`] observer, i.e.
-//!   exactly the per-interaction work every §5 convergence experiment pays
-//!   (this is the workload behind `Experiment::run` and all figures).
+//!   exactly the per-interaction work of a run under the
+//!   `TrackedEstimates` recording plan.
 //!
 //! A chunk-size sweep rides along: `step_block`'s pairs-per-chunk constant
 //! (production: 64) is measured against 32 and 128 on the memory-bound
@@ -28,31 +28,21 @@
 //! several rounds against the shared-vCPU noise, and recorded under
 //! `"chunk_sweep"` in the JSON so the choice of `CHUNK` stays auditable.
 //!
-//! Two further measurements ride along:
-//!
-//! * **parallel stepper** — `Simulator::step_n_parallel` at 1/2/4 worker
-//!   threads per population, recorded under the `parallel_*` keys. On a
-//!   multi-core box this shows the intra-run speedup; on a single-core
-//!   box (this repository's reference box) it documents parity: the
-//!   super-block engine at `threads = 1` against the sequential hot loop.
-//! * **scanned-vs-tracked crossover** — from the measured plain and
-//!   tracked rates plus a timed full-state estimate scan, the snapshot
-//!   interval (in parallel time units) above which `ScannedEstimates`
-//!   beats `TrackedEstimates`, recorded per population under
-//!   `scanned_crossover_snapshot_interval_pt`. Every figure snapshots at
-//!   ≥ 1 pt, so the experiments run scanned (`Sweep::run_scanned`).
+//! A scanned-vs-tracked crossover rides along too: from the measured plain
+//! and tracked rates plus a timed full-state estimate scan, the snapshot
+//! interval (in parallel time units) above which `ScannedEstimates` beats
+//! `TrackedEstimates`, recorded per population under
+//! `scanned_crossover_snapshot_interval_pt`. Every figure snapshots at
+//! ≥ 1 pt, so the experiments run under `ScannedEstimates`.
 //!
 //! Flags: the shared `Scale` flags; `--smoke` shrinks the measurement
 //! budget so CI can exercise the harness (and validate the JSON schema)
 //! in seconds.
 
 use pp_bench::Scale;
-use pp_sim::{ChunkSize, ParallelPolicy, Simulator, SoaSimulator};
+use pp_sim::{ChunkSize, Simulator};
 use std::io::Write;
 use std::time::Instant;
-
-/// Thread counts measured for the intra-run parallel stepper.
-const PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
 
 /// Single-thread interactions/sec of the two previous engines on this
 /// repository's reference box (1-core Intel Xeon @ 2.10 GHz, shared vCPU).
@@ -206,39 +196,6 @@ fn main() {
         tracked_sim.run_parallel_time(warm);
         let tracked = measure(|c| tracked_sim.step_n(c), budget);
 
-        // Intra-run parallel stepper at each thread count, on its own
-        // warmed simulator (the engine is thread-count-invariant in
-        // results, so only throughput differs).
-        let parallel_rates: Vec<f64> = PARALLEL_THREADS
-            .iter()
-            .map(|&t| {
-                let mut sim: Simulator<_, ()> =
-                    Simulator::with_seed(pp_bench::paper_protocol(), b.n, scale.seed);
-                sim.run_parallel_time(warm);
-                measure(
-                    |c| sim.step_n_parallel(c, ParallelPolicy::threads(t)),
-                    budget,
-                )
-            })
-            .collect();
-        let parallel_best = parallel_rates
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-
-        // Struct-of-arrays engine A/B: same protocol, seed, and warm-up,
-        // measured in the adjacent window (the shared box swings ±20% on
-        // second timescales; ratios near 1.0 are parity).
-        let mut soa_plain_sim =
-            SoaSimulator::with_seed(pp_bench::paper_protocol(), b.n, scale.seed);
-        soa_plain_sim.run_parallel_time(warm);
-        let soa_plain = measure(|c| soa_plain_sim.step_n(c), budget);
-
-        let mut soa_tracked_sim =
-            SoaSimulator::tracked(pp_bench::paper_protocol(), b.n, scale.seed);
-        soa_tracked_sim.run_parallel_time(warm);
-        let soa_tracked = measure(|c| soa_tracked_sim.step_n(c), budget);
-
         // Scanned-vs-tracked crossover: tracking costs
         // (1/tracked − 1/plain) s per interaction; a snapshot scan costs
         // one `estimate_stats` pass. Scanning wins once the snapshot
@@ -253,23 +210,6 @@ fn main() {
             start.elapsed().as_secs_f64() / scans as f64
         };
 
-        // The SoA estimate scan reads the two dense u32 lanes (8 bytes
-        // per agent, unit stride) instead of 24-byte structs; under the
-        // empirical configuration the lane summary equals the estimate
-        // summary exactly (`tests/soa.rs`).
-        let soa_scan_secs = {
-            let start = Instant::now();
-            for _ in 0..scans {
-                std::hint::black_box(soa_plain_sim.effective_max_stats());
-            }
-            start.elapsed().as_secs_f64() / scans as f64
-        };
-        // Scan-heavy workload (one full estimate snapshot per quarter unit
-        // of parallel time, the densest §5 snapshot cadence), derived from
-        // the measured stepping rates and scan times.
-        let quarter = b.n as f64 / 4.0;
-        let scanheavy_speedup =
-            (quarter / plain + scan_secs) / (quarter / soa_plain + soa_scan_secs);
         let overhead = 1.0 / tracked - 1.0 / plain;
         let crossover_pt = if overhead > 0.0 {
             format!("{:.6}", scan_secs / (overhead * b.n as f64))
@@ -288,24 +228,6 @@ fn main() {
             b.pr2_plain / 1e6,
             tracked / 1e6,
             b.pr2_tracked / 1e6,
-        );
-        println!(
-            "             parallel t1 {:6.2} t2 {:6.2} t4 {:6.2} M/s ({:.2}x vs plain)  \
-             scan crossover {crossover_pt} pt",
-            parallel_rates[0] / 1e6,
-            parallel_rates[1] / 1e6,
-            parallel_rates[2] / 1e6,
-            parallel_best / plain,
-        );
-        println!(
-            "             soa plain {:6.2} M/s ({:.2}x)  tracked {:6.2} M/s ({:.2}x)  \
-             scan {:.2}x  scan-heavy {:.2}x",
-            soa_plain / 1e6,
-            soa_plain / plain,
-            soa_tracked / 1e6,
-            soa_tracked / tracked,
-            scan_secs / soa_scan_secs,
-            scanheavy_speedup,
         );
         let seed_fields = match (b.seed_plain, b.seed_tracked) {
             (Some(sp), Some(st)) => format!(
@@ -333,15 +255,6 @@ fn main() {
                 "      \"pr2_tracked_interactions_per_sec\": {:.1},\n",
                 "      \"plain_speedup_vs_pr2\": {:.4},\n",
                 "      \"tracked_speedup_vs_pr2\": {:.4},\n",
-                "      \"parallel_thread_sweep\": [{:.1}, {:.1}, {:.1}],\n",
-                "      \"parallel_interactions_per_sec\": {:.1},\n",
-                "      \"parallel_speedup_vs_plain\": {:.4},\n",
-                "      \"soa_plain_interactions_per_sec\": {:.1},\n",
-                "      \"soa_tracked_interactions_per_sec\": {:.1},\n",
-                "      \"soa_plain_ratio_vs_aos\": {:.4},\n",
-                "      \"soa_tracked_ratio_vs_aos\": {:.4},\n",
-                "      \"soa_scan_speedup_vs_aos\": {:.4},\n",
-                "      \"soa_scanheavy_speedup_vs_aos\": {:.4},\n",
                 "      \"scanned_crossover_snapshot_interval_pt\": {}\n",
                 "    }}"
             ),
@@ -353,17 +266,6 @@ fn main() {
             b.pr2_tracked,
             speedup_plain,
             speedup_tracked,
-            parallel_rates[0],
-            parallel_rates[1],
-            parallel_rates[2],
-            parallel_best,
-            parallel_best / plain,
-            soa_plain,
-            soa_tracked,
-            soa_plain / plain,
-            soa_tracked / tracked,
-            scan_secs / soa_scan_secs,
-            scanheavy_speedup,
             crossover_pt,
         ));
     }
@@ -383,7 +285,7 @@ fn main() {
             "{{\n",
             "  \"workload\": \"DSC empirical configuration, steady state, single thread; ",
             "tracked = under the EstimateTracker observer, the per-interaction work of ",
-            "every convergence experiment (Experiment::run)\",\n",
+            "a run under the TrackedEstimates plan\",\n",
             "  \"engine\": \"packed 24-byte DscState, gather/compute/scatter step_block ",
             "with within-chunk hazard scan, single-draw pair sampling\",\n",
             "  \"pr2_engine\": \"ec8a6c8: monomorphized chunked step_block, 40-byte states, ",
@@ -391,27 +293,9 @@ fn main() {
             "  \"seed_engine\": \"e6ffe7a: dyn Rng, two draws per pair\",\n",
             "  \"master_seed\": {},\n",
             "  \"available_parallelism\": {},\n",
-            "  \"parallel_threads\": [1, 2, 4],\n",
-            "  \"parallel_note\": \"step_n_parallel thread sweep per point; on the 1-core ",
-            "reference box the acceptance criterion is single-core parity (threads = 1 within ",
-            "noise of the sequential hot loop), not speedup — re-measure on a >= 4-core box ",
-            "for the >= 1.5x column\",\n",
             "  \"scanned_crossover_note\": \"snapshot interval (parallel-time units) above ",
             "which ScannedEstimates beats TrackedEstimates, from measured rates and a timed ",
             "estimate_stats scan; null when box noise swallowed the tracker overhead\",\n",
-            "  \"soa_note\": \"A/B of the struct-of-arrays engine (SoaSimulator, columnar ",
-            "AgentStore) against the agent-array engine, same seed and warm-up, adjacent ",
-            "windows on the 1-core reference box (the box swings +-20% on second timescales; ",
-            "read ratios as bands, not points). Stepping is random-access, so each SoA ",
-            "gather/scatter touches three lanes where the struct engine touches one cache ",
-            "line: the plain-stepping ratio sits near 0.9x while the population is ",
-            "cache-resident and drops toward ~0.5x at n = 10^6 — the documented cost side of ",
-            "the layout trade on a 1-core box. The win side is the whole-population estimate ",
-            "scan (soa_scan_speedup_vs_aos: effective_max over two dense u32 lanes, 8 bytes ",
-            "per agent vs 24-byte structs, stack-bucketed counts) and snapshot-heavy cells ",
-            "at scan-dominated cadences (soa_scanheavy_speedup_vs_aos: derived, one full ",
-            "snapshot scan per n/4 interactions — stepping dominates it at large n). ",
-            "Trajectories are bit-identical across engines (tests/soa.rs)\",\n",
             "  \"points\": [\n{}\n  ],\n",
             "  \"chunk_sweep_note\": \"plain stepping at 32/64/128 pairs per step_block ",
             "chunk, alternated per round, medians of {} rounds; the winner justifies ",

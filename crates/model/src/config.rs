@@ -93,6 +93,7 @@ impl<S> Configuration<S> {
     /// # Panics
     ///
     /// Panics if `i == j` or either index is out of bounds.
+    #[inline] // Without the hint, inlining into the stepping loop flips with unrelated edits.
     pub fn pair_mut(&mut self, i: usize, j: usize) -> (&mut S, &mut S) {
         assert_ne!(i, j, "an agent cannot interact with itself");
         // One split at the larger index, then a select on `i < j` to order
@@ -132,14 +133,6 @@ impl<S> Configuration<S> {
     /// The states as a slice.
     pub fn as_slice(&self) -> &[S] {
         &self.states
-    }
-
-    /// The states as a mutable slice — the parallel stepper's scatter
-    /// pass writes whole stripes of post-states through this (per-agent
-    /// mutation that should keep observers in sync goes through the
-    /// simulator's `replace_state` instead).
-    pub fn as_mut_slice(&mut self) -> &mut [S] {
-        &mut self.states
     }
 
     /// Consumes the configuration, returning the state vector.

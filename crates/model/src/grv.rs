@@ -108,6 +108,7 @@ pub fn geometric_with_coin(coin: &mut impl Coin) -> u32 {
 /// # Panics
 ///
 /// Panics if `k == 0` (the maximum of zero samples is undefined).
+#[inline] // Without the hint, inlining into the DSC transition flips with unrelated edits.
 pub fn grv_max(k: u32, rng: &mut (impl Rng + ?Sized)) -> u32 {
     assert!(k > 0, "GRV(k) requires k >= 1");
     (0..k).map(|_| geometric(rng)).max().expect("k >= 1")

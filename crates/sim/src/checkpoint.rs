@@ -58,7 +58,7 @@
 //! let spec = CellSpec {
 //!     n: 200, seed: 7, horizon: 10.0, snapshot_every: 1.0,
 //!     schedule: &schedule, init_agents: None, init_counts: None,
-//!     interaction_budget: None, parallel: None,
+//!     interaction_budget: None,
 //! };
 //! // Pause at t = 5, then resume to the horizon.
 //! let paused = CountSimulator::run_cell_until(Or, &spec, &TrackedEstimates, 5.0).unwrap();

@@ -6,22 +6,19 @@
 //! a snapshot every n interactions", §5), and apply adversary events at their
 //! scheduled times.
 //!
-//! Execution goes through the unified [`Experiment::run_on`] driver: pick a
-//! [`Backend`] (agent array, count, or jump) and a [`Recording`] plan
-//! (estimates, memory summaries, tick events — composable). The historical
-//! entry points ([`Experiment::run`], [`Experiment::run_with_memory`],
-//! [`Experiment::run_with_ticks`], [`Experiment::run_full`]) are one-line
-//! shims over it, fixed to the agent-array backend.
+//! Execution goes through the one driver [`Experiment::run_on`]: pick a
+//! [`Backend`] (agent array, count, jump, or batched count) and a
+//! [`Recording`] plan (estimates, memory summaries, tick events —
+//! composable).
 
 use crate::adversary::AdversarySchedule;
 use crate::backend::{Backend, BackendError, CellSpec, ConfigError};
-use crate::recording::{Recording, TrackedEstimates, WithMemory, WithTicks};
+use crate::recording::Recording;
 use crate::series::RunResult;
-use crate::simulator::{ParallelPolicy, Simulator};
-use pp_model::{MemoryFootprint, Protocol, SizeEstimator, TickProtocol};
+use pp_model::{Protocol, SizeEstimator};
 
-/// Panics with the error's display — the contract of the historical
-/// panicking entry points, now shims over the `Result`-returning drivers.
+/// Panics with the error's display — the contract of the panicking
+/// builder setters, which are shims over their `try_*` forms.
 pub(crate) fn expect_run<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| panic!("{e}"))
 }
@@ -50,7 +47,7 @@ impl<S> std::fmt::Debug for InitMode<S> {
 /// # Examples
 ///
 /// ```
-/// use pp_sim::{Experiment, AdversarySchedule};
+/// use pp_sim::{Experiment, Simulator, TrackedEstimates};
 /// # use pp_model::{Protocol, SizeEstimator};
 /// # use rand::Rng;
 /// # #[derive(Clone)] struct Max;
@@ -66,7 +63,8 @@ impl<S> std::fmt::Debug for InitMode<S> {
 ///     .seed(7)
 ///     .horizon(50.0)
 ///     .snapshot_every(1.0)
-///     .run();
+///     .run_on::<Simulator<_>, _>(TrackedEstimates)
+///     .unwrap();
 /// assert_eq!(result.snapshots.len(), 51); // t = 0, 1, …, 50
 /// ```
 #[derive(Debug)]
@@ -78,7 +76,6 @@ pub struct Experiment<P: Protocol> {
     snapshot_every: f64,
     schedule: AdversarySchedule,
     init: InitMode<P::State>,
-    parallel: Option<ParallelPolicy>,
 }
 
 impl<P: SizeEstimator> Experiment<P> {
@@ -94,7 +91,6 @@ impl<P: SizeEstimator> Experiment<P> {
             snapshot_every: 1.0,
             schedule: AdversarySchedule::new(),
             init: InitMode::Fresh,
-            parallel: None,
         }
     }
 
@@ -161,29 +157,11 @@ impl<P: SizeEstimator> Experiment<P> {
         self.init(InitMode::FromFn(Box::new(f)))
     }
 
-    /// Opts this experiment into the intra-run parallel stepper.
-    ///
-    /// Only backends with an agent array to shard support this
-    /// ([`Backend::SUPPORTS_INTRA_RUN_PARALLELISM`]), and only under
-    /// hook-free [`Recording`] plans (e.g.
-    /// [`ScannedEstimates`](crate::ScannedEstimates)); other combinations
-    /// fail with a typed
-    /// [`BackendError::ParallelUnsupported`]. Parallel runs are
-    /// deterministic per `(seed, policy)` and equivalent in distribution
-    /// to sequential ones, but not bit-identical to them — see
-    /// [`Simulator::step_n_parallel`] for the full contract.
-    pub fn parallel(mut self, policy: ParallelPolicy) -> Self {
-        self.parallel = Some(policy);
-        self
-    }
-
-    /// The unified single-run driver: executes this experiment on backend
-    /// `B` under the given [`Recording`] plan.
-    ///
-    /// This is the one execution path behind every `run*` method; it is
-    /// also the only one that can drive a count or jump backend from an
-    /// [`Experiment`] (e.g.
-    /// `exp.run_on::<CountSimulator<_>, _>(TrackedEstimates)`).
+    /// The single-run driver: executes this experiment on backend `B`
+    /// under the given [`Recording`] plan (e.g.
+    /// `exp.run_on::<Simulator<_>, _>(TrackedEstimates)`, or
+    /// `exp.run_on::<CountSimulator<_>, _>(TrackedEstimates)` for a
+    /// finite-state protocol).
     ///
     /// # Errors
     ///
@@ -203,7 +181,6 @@ impl<P: SizeEstimator> Experiment<P> {
             snapshot_every,
             schedule,
             init,
-            parallel,
         } = self;
         let per_agent = match &init {
             InitMode::Fresh => None,
@@ -223,73 +200,8 @@ impl<P: SizeEstimator> Experiment<P> {
                 .then_some(&adapter as &dyn Fn(usize, usize) -> P::State),
             init_counts: None,
             interaction_budget: None,
-            parallel,
         };
         B::run_cell(protocol, &spec, &recording)
-    }
-
-    /// Runs the experiment on the agent-array backend, recording estimate
-    /// snapshots (shim over [`Experiment::run_on`]).
-    pub fn run(self) -> RunResult
-    where
-        P: Sync,
-        P::State: Send,
-    {
-        expect_run(self.run_on::<Simulator<P>, _>(TrackedEstimates))
-    }
-}
-
-impl<P> Experiment<P>
-where
-    P: SizeEstimator,
-    P::State: MemoryFootprint,
-{
-    /// Runs the experiment, additionally recording per-snapshot memory
-    /// summaries (but no ticks — for protocols that are not clocks).
-    ///
-    /// Memory summaries scan all agents at every snapshot; prefer coarser
-    /// snapshot intervals at large `n`. Shim over [`Experiment::run_on`].
-    pub fn run_with_memory(self) -> RunResult
-    where
-        P: Sync,
-        P::State: Send,
-    {
-        expect_run(self.run_on::<Simulator<P>, _>(WithMemory(TrackedEstimates)))
-    }
-}
-
-impl<P> Experiment<P>
-where
-    P: SizeEstimator + TickProtocol,
-{
-    /// Runs the experiment, additionally recording phase-clock ticks (but
-    /// no memory summaries — usable for states without a
-    /// [`MemoryFootprint`]). Shim over [`Experiment::run_on`].
-    pub fn run_with_ticks(self) -> RunResult
-    where
-        P: Sync,
-        P::State: Send,
-    {
-        expect_run(self.run_on::<Simulator<P>, _>(WithTicks(TrackedEstimates)))
-    }
-}
-
-impl<P> Experiment<P>
-where
-    P: SizeEstimator + TickProtocol,
-    P::State: MemoryFootprint,
-{
-    /// Runs the experiment, additionally recording phase-clock ticks and
-    /// per-snapshot memory summaries.
-    ///
-    /// Memory summaries scan all agents at every snapshot; prefer coarser
-    /// snapshot intervals at large `n`. Shim over [`Experiment::run_on`].
-    pub fn run_full(self) -> RunResult
-    where
-        P: Sync,
-        P::State: Send,
-    {
-        expect_run(self.run_on::<Simulator<P>, _>(WithTicks(WithMemory(TrackedEstimates))))
     }
 }
 
@@ -298,7 +210,9 @@ mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
     use crate::count_sim::CountSimulator;
-    use pp_model::FiniteProtocol;
+    use crate::recording::{TrackedEstimates, WithMemory, WithTicks};
+    use crate::simulator::Simulator;
+    use pp_model::{FiniteProtocol, TickProtocol};
     use rand::Rng;
 
     /// Max-spreading counting fixture; every agent always reports.
@@ -325,7 +239,10 @@ mod tests {
     }
     #[test]
     fn snapshots_land_on_grid() {
-        let r = Experiment::new(Max, 50).horizon(10.0).run();
+        let r = Experiment::new(Max, 50)
+            .horizon(10.0)
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.snapshots.len(), 11);
         for (i, s) in r.snapshots.iter().enumerate() {
             assert!(
@@ -342,7 +259,8 @@ mod tests {
         let r = Experiment::new(Max, 100)
             .horizon(10.0)
             .schedule(schedule)
-            .run();
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.final_n, 10);
         let before = r.snapshot_at(4.0);
         let after = r.snapshot_at(6.0);
@@ -355,16 +273,20 @@ mod tests {
         let r = Experiment::new(Max, 20)
             .init_with(|i| if i == 0 { 60 } else { 1 })
             .horizon(30.0)
-            .run();
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         let last = r.snapshots.last().unwrap().estimates.unwrap();
         assert_eq!(last.max, 60.0);
         assert_eq!(last.min, 60.0, "epidemic should have spread 60 to all");
     }
 
     #[test]
-    fn run_full_records_memory() {
+    fn ticks_and_memory_plans_record_memory() {
         // u32 states implement MemoryFootprint via pp-model.
-        let r = Experiment::new(Max, 30).horizon(5.0).run_full();
+        let r = Experiment::new(Max, 30)
+            .horizon(5.0)
+            .run_on::<Simulator<_>, _>(WithTicks(WithMemory(TrackedEstimates)))
+            .unwrap();
         let mem = r.snapshots.last().unwrap().memory.unwrap();
         assert!(mem.max_bits >= 1);
         assert!(mem.mean_bits >= 1.0);

@@ -12,12 +12,6 @@
 //! * [`Simulator`] — the agent-array backend: a dense vector of states, the
 //!   uniformly random pair scheduler, and observer hooks. This is the engine
 //!   behind every figure of the paper.
-//! * [`SoaSimulator`] / [`store`] — the struct-of-arrays engine: the same
-//!   model over columnar [`AgentStore`] storage (dense per-field lanes,
-//!   arena-backed payload overflow), trajectory-identical to [`Simulator`]
-//!   by construction. Opt-in for benches and scan-heavy readouts; the
-//!   `Backend` drivers stay on the agent array, whose contiguous state
-//!   slice their snapshot scans require.
 //! * [`CountSimulator`] — the count backend: exact simulation of
 //!   finite-state protocols with one counter per state (no agent array);
 //!   cross-checks the agent simulator and sweeps substrates at populations
@@ -51,16 +45,19 @@
 //!   executed through the [`FaultBackend`] hook with recovery measured by
 //!   the [`WithRecovery`] recording plan — plus resilient grid execution
 //!   ([`Sweep::run_resilient_on`]) that isolates panics and runaway cells
-//!   into typed per-cell [`CellOutcome`]s.
+//!   into typed per-cell [`CellOutcome`]s. Every grid, resilient or not,
+//!   runs through that one executor.
 //! * [`checkpoint`] — pause/resume for long-horizon count-backend runs:
 //!   a versioned on-disk format capturing counts, RNG state, and the
 //!   drive-loop cursor, restoring **bit-identically** (a split run's rows
 //!   are byte-for-byte an uninterrupted run's).
 //! * [`Experiment`] / [`Sweep`] — the single-run and grid drivers; both
 //!   execute any backend × recording combination through one generic path
-//!   ([`Experiment::run_on`] / [`Sweep::run_on`]).
+//!   ([`Experiment::run_on`] / [`Sweep::run_on`]), with the backend and the
+//!   plan named at the call site.
 //! * [`runner`] — a work-stealing parallel executor for independent runs
-//!   (the paper uses 96 runs per data point).
+//!   (the paper uses 96 runs per data point). Parallelism is across runs
+//!   only: each run steps sequentially on one thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,7 +77,6 @@ pub mod runner;
 pub mod scenario;
 pub mod series;
 pub mod simulator;
-pub mod store;
 pub mod sweep;
 
 pub use adversary::{AdversarySchedule, PopulationEvent, ScheduleError, ScheduledEvent};
@@ -105,8 +101,7 @@ pub use recording::{
 pub use runner::parallel_map;
 pub use scenario::{ScenarioTrace, TraceSegment, BUILTIN_TRACES};
 pub use series::{EstimateSummary, MemorySummary, RecoveryPoint, RunResult, Snapshot, TickEvent};
-pub use simulator::{ChunkSize, ParallelPolicy, Simulator, SoaSimulator};
-pub use store::AgentStore;
+pub use simulator::{ChunkSize, Simulator};
 pub use sweep::{
     CellOutcome, FailureSummary, ResiliencePolicy, ResilientCell, ResilientResults, Sweep,
     SweepCell, SweepResults,

@@ -33,8 +33,8 @@
 //!   (a [`RecoveryObserver`] watching a Lemma 4.1 band around `log2 n`),
 //!   the fault-injection experiments' time-to-recovery readout.
 //!
-//! Composition nests: `WithTicks(WithMemory(TrackedEstimates))` is the old
-//! `Experiment::run_full`, and installs exactly the old
+//! Composition nests: `WithTicks(WithMemory(TrackedEstimates))` records
+//! estimates, memory and ticks, and installs the
 //! `(EstimateTracker, TickRecorder)` observer tuple.
 
 use crate::histogram::EstimateHistogram;
@@ -46,10 +46,10 @@ use pp_model::{MemoryFootprint, SizeEstimator, TickProtocol};
 ///
 /// Implementations are zero-sized and composable; the associated
 /// [`Recording::Observer`] is the observer (tuple) the plan installs on an
-/// agent-array run, and the three capability consts let count-based
-/// backends — which have no per-agent indices to observe — reject plans
-/// they cannot honor with a typed
-/// [`BackendError`](crate::backend::BackendError).
+/// agent-array run, and the capability consts (`ESTIMATES`, `MEMORY`,
+/// `TICKS`, `RECOVERY`) let count-based backends — which have no
+/// per-agent indices to observe — reject plans they cannot honor with a
+/// typed [`BackendError`](crate::backend::BackendError).
 pub trait Recording<P: SizeEstimator>: Sync {
     /// The observer this plan installs on an agent-array run.
     type Observer: Observer<P>;
@@ -65,15 +65,6 @@ pub trait Recording<P: SizeEstimator>: Sync {
 
     /// Whether the run records [`RecoveryPoint`]s (agent-array only).
     const RECOVERY: bool = false;
-
-    /// Whether the plan's observer needs the per-interaction hooks
-    /// (`pre_interact`/`post_interact`, or incremental per-agent updates
-    /// driven from them). Plans that declare `false` promise their
-    /// observer is hook-free, which makes them eligible for the
-    /// intra-population parallel stepper — it applies transitions on
-    /// worker threads and never invokes per-interaction hooks. Defaults
-    /// to `true` (the safe assumption for any observing plan).
-    const PER_INTERACTION: bool = true;
 
     /// A fresh observer for one run.
     fn observer(&self) -> Self::Observer;
@@ -206,7 +197,6 @@ impl<P: SizeEstimator> Recording<P> for ScannedEstimates {
     const ESTIMATES: bool = true;
     const MEMORY: bool = false;
     const TICKS: bool = false;
-    const PER_INTERACTION: bool = false;
 
     fn observer(&self) {}
 
@@ -224,7 +214,6 @@ impl<P: SizeEstimator> Recording<P> for SnapshotsOnly {
     const ESTIMATES: bool = false;
     const MEMORY: bool = false;
     const TICKS: bool = false;
-    const PER_INTERACTION: bool = false;
 
     fn observer(&self) {}
 
@@ -249,8 +238,6 @@ where
     const MEMORY: bool = true;
     const TICKS: bool = E::TICKS;
     const RECOVERY: bool = E::RECOVERY;
-    // Memory summaries come from a per-snapshot scan, not from hooks.
-    const PER_INTERACTION: bool = E::PER_INTERACTION;
 
     fn observer(&self) -> E::Observer {
         self.0.observer()
@@ -451,23 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn per_interaction_tracks_hook_needs() {
-        // Hook-free plans (and their memory-scanning wrappers) are the
-        // parallel-stepper-eligible set; tracker- and tick-based plans
-        // need per-interaction hooks and must stay sequential.
-        let flags = [
-            <TrackedEstimates as Recording<Max>>::PER_INTERACTION,
-            <ScannedEstimates as Recording<Max>>::PER_INTERACTION,
-            <SnapshotsOnly as Recording<Max>>::PER_INTERACTION,
-            <WithMemory<ScannedEstimates> as Recording<Max>>::PER_INTERACTION,
-            <WithMemory<TrackedEstimates> as Recording<Max>>::PER_INTERACTION,
-            <WithTicks<ScannedEstimates> as Recording<Max>>::PER_INTERACTION,
-            <WithRecovery<ScannedEstimates> as Recording<Max>>::PER_INTERACTION,
-        ];
-        assert_eq!(flags, [true, false, false, false, true, true, true]);
-    }
-
-    #[test]
     fn snapshots_only_records_nothing() {
         let states = [1u32, 2];
         assert_eq!(
@@ -494,9 +464,9 @@ mod tests {
 
     #[test]
     fn with_ticks_installs_the_legacy_observer_tuple_order() {
-        // The unified driver must keep the exact (EstimateTracker,
-        // TickRecorder) tuple the old run_with_ticks installed — same
-        // observer call order, same recorded events.
+        // The tick plan installs the (EstimateTracker, TickRecorder)
+        // tuple in that order: the observer call order fixes the
+        // recorded events.
         let plan = WithTicks(TrackedEstimates);
         let observer: (EstimateTracker, TickRecorder) =
             <WithTicks<TrackedEstimates> as Recording<Max>>::observer(&plan);

@@ -11,11 +11,12 @@
 //! [`parallel_map`] call: no barrier between grid points, no idle workers
 //! while the last big run of a point finishes.
 //!
-//! Execution goes through the one generic driver [`Sweep::run_on`]: pick a
-//! [`Backend`] (agent array, count, jump, or batched count) and a
-//! [`Recording`] plan;
-//! the historical `run`/`run_ticked`/`run_with_memory`/`run_counted`/
-//! `run_jumped` entry points are one-line shims over it.
+//! Execution goes through one grid loop: pick a [`Backend`] (agent array,
+//! count, jump, or batched count) and a [`Recording`] plan, and call
+//! [`Sweep::run_on`] (fail fast), [`Sweep::run_resilient_on`] (per-run
+//! outcomes) or [`Sweep::run_faulted_on`] (with injected faults). All
+//! three share the same pre-flight, the same single [`parallel_map`] call
+//! and the same regrouping into cells.
 //!
 //! Determinism: each cell derives a seed from the master seed and its grid
 //! position, and each run derives from the cell seed and its run index (the
@@ -34,7 +35,7 @@
 //! # Examples
 //!
 //! ```
-//! use pp_sim::Sweep;
+//! use pp_sim::{Simulator, Sweep, TrackedEstimates};
 //! # use pp_model::{Protocol, SizeEstimator};
 //! # use rand::Rng;
 //! # #[derive(Clone)] struct Max;
@@ -51,7 +52,8 @@
 //!     .runs(4)
 //!     .master_seed(7)
 //!     .horizon(20.0)
-//!     .run();
+//!     .run_on::<Simulator<_>, _>(TrackedEstimates)
+//!     .unwrap();
 //! assert_eq!(results.cells.len(), 2);       // one cell per (n, schedule)
 //! assert_eq!(results.total_runs(), 8);
 //! assert_eq!(results.cells[0].runs.len(), 4);
@@ -59,20 +61,14 @@
 
 use crate::adversary::{AdversarySchedule, ScheduleError};
 use crate::backend::{Backend, BackendError, CellSpec, ConfigError};
-use crate::batched_sim::BatchedCountSimulator;
-use crate::count_sim::CountSimulator;
 use crate::experiment::expect_run;
 use crate::fault::{CompiledFaultPlan, FaultBackend, FaultPlan, FAULT_SEED_INDEX};
-use crate::jump_sim::JumpSimulator;
-use crate::recording::{Recording, ScannedEstimates, TrackedEstimates, WithMemory, WithTicks};
+use crate::recording::Recording;
 use crate::runner::{parallel_map, run_seed};
 use crate::scenario::ScenarioTrace;
 use crate::series::RunResult;
-use crate::simulator::{ParallelPolicy, Simulator};
-use pp_model::{
-    DeterministicProtocol, FiniteProtocol, MemoryFootprint, SizeEstimator, TickProtocol,
-};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use pp_model::SizeEstimator;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -115,7 +111,6 @@ pub struct Sweep<P: SizeEstimator> {
     runs: usize,
     master_seed: u64,
     threads: usize,
-    parallel: Option<ParallelPolicy>,
     horizon: Arc<dyn Fn(usize) -> f64 + Send + Sync>,
     snapshot_every: f64,
     init: Option<InitFn<P::State>>,
@@ -134,7 +129,6 @@ impl<P: SizeEstimator + std::fmt::Debug> std::fmt::Debug for Sweep<P> {
             .field("runs", &self.runs)
             .field("master_seed", &self.master_seed)
             .field("threads", &self.threads)
-            .field("parallel", &self.parallel)
             .finish_non_exhaustive()
     }
 }
@@ -160,7 +154,7 @@ impl SweepCell {
     }
 }
 
-/// Structured output of [`Sweep::run`]: every cell in grid order
+/// Structured output of [`Sweep::run_on`]: every cell in grid order
 /// (populations outer, schedules inner), plus execution metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResults {
@@ -399,7 +393,6 @@ where
             runs: 1,
             master_seed: 0,
             threads: 0,
-            parallel: None,
             horizon: Arc::new(|_| 1000.0),
             snapshot_every: 1.0,
             init: None,
@@ -466,23 +459,6 @@ where
         self
     }
 
-    /// Opts every cell of the grid into the intra-run parallel stepper.
-    ///
-    /// Orthogonal to [`Sweep::threads`]: `threads` spreads *cells* across
-    /// workers (bit-identical results on any count), while `parallel`
-    /// shards the agent array *within* each run. Intra-run parallelism is
-    /// deterministic per `(master_seed, policy)` and equivalent in
-    /// distribution to sequential runs, but not bit-identical to them;
-    /// it needs an agent-array backend and a hook-free [`Recording`] plan,
-    /// and anything else fails the whole grid up front with a typed
-    /// [`BackendError::ParallelUnsupported`]. See
-    /// [`Simulator::step_n_parallel`](crate::Simulator::step_n_parallel)
-    /// for the full contract.
-    pub fn parallel(mut self, policy: ParallelPolicy) -> Self {
-        self.parallel = Some(policy);
-        self
-    }
-
     /// Sets one simulation horizon (parallel time) for every cell.
     pub fn horizon(mut self, horizon: f64) -> Self {
         assert!(horizon >= 0.0, "horizon must be non-negative");
@@ -538,7 +514,7 @@ where
     }
 
     /// Sets the initial per-state counts for the count-based backends
-    /// ([`Sweep::run_counted`] / [`Sweep::run_jumped`]): `f(n)` must return
+    /// (count, jump and batched count): `f(n)` must return
     /// one count per state, summing to `n` (e.g. `|n| vec![n - 1, 1]` for
     /// an epidemic seeded with one infected agent). The agent-array
     /// backend rejects it with a typed [`BackendError`] (its initial
@@ -605,42 +581,14 @@ where
         Ok((labels, cell_schedules, tasks))
     }
 
-    /// Regroups the flat, index-ordered run results into grid cells.
-    fn collect(
-        &self,
-        labels: Vec<String>,
-        tasks: Vec<TaskSpec>,
-        results: Vec<RunResult>,
-        wall: Duration,
-    ) -> SweepResults {
-        let cells_len = self.populations.len() * labels.len();
-        let mut cells: Vec<SweepCell> = Vec::with_capacity(cells_len);
-        for (task, result) in tasks.iter().zip(results) {
-            if task.cell == cells.len() {
-                cells.push(SweepCell {
-                    n: task.n,
-                    schedule: labels[task.schedule_index].clone(),
-                    schedule_index: task.schedule_index,
-                    runs: Vec::with_capacity(self.runs),
-                });
-            }
-            cells[task.cell].runs.push(result);
-        }
-        SweepResults {
-            master_seed: self.master_seed,
-            cells,
-            wall,
-            threads: self.threads,
-        }
-    }
-
-    /// The one generic grid driver: runs every `(n, schedule, run)` task
-    /// of the grid on backend `B` under the given [`Recording`] plan, as a
-    /// single flat parallel batch.
+    /// The fail-fast grid driver: runs every `(n, schedule, run)` task of
+    /// the grid on backend `B` under the given [`Recording`] plan, as a
+    /// single flat parallel batch, and returns every cell's runs.
     ///
-    /// Every historical `run*` entry point is a one-line shim over this;
-    /// new backend × recording combinations (e.g. bare-snapshot counted
-    /// sweeps) need no new method.
+    /// This is [`Sweep::run_resilient_on`] under
+    /// [`ResiliencePolicy::default()`] with each completed [`RunResult`]
+    /// moved out of its outcome, so both drivers share one grid loop and
+    /// produce bit-identical rows.
     ///
     /// # Errors
     ///
@@ -650,26 +598,55 @@ where
     /// states / tick recording / memory recording without
     /// [`Backend::SUPPORTS_AGENT_INDICES`], or a schedule (hand-written or
     /// trace-compiled) that is impossible against its cell's population
-    /// ([`BackendError::InvalidSchedule`]).
+    /// ([`BackendError::InvalidSchedule`]). A run that fails with a typed
+    /// error mid-grid is reported the same way, after the grid finishes.
     ///
     /// # Panics
     ///
-    /// Panics if no populations were configured.
+    /// Panics if no populations were configured. A run that panics is
+    /// re-raised with its own payload, on any thread count; when several
+    /// runs fail, the first in task order decides between the error and
+    /// the panic.
     pub fn run_on<B, R>(self, recording: R) -> Result<SweepResults, BackendError>
     where
         B: Backend<Protocol = P, State = P::State>,
         R: Recording<P>,
     {
-        let (labels, cell_schedules, tasks) = self.prepare::<B, R>()?;
-        let start = Instant::now();
-        let results = parallel_map(tasks.len(), self.threads, |t| {
-            let task = &tasks[t];
-            let spec = self.cell_spec(task, &cell_schedules, None);
-            B::run_cell(self.protocol.clone(), &spec, &recording)
-        });
-        let wall = start.elapsed();
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(self.collect(labels, tasks, results, wall))
+        let grid = self.run_resilient_on::<B, R>(recording, ResiliencePolicy::default())?;
+        // Each outcome has the size of the run it wraps (and each resilient
+        // cell the size of a sweep cell), so both `collect`s reuse their
+        // source buffers: the conversion moves every run and allocates
+        // nothing beyond what the resilient driver already did.
+        let cells = grid
+            .cells
+            .into_iter()
+            .map(|cell| {
+                let runs = cell
+                    .outcomes
+                    .into_iter()
+                    .map(|outcome| match outcome {
+                        CellOutcome::Completed(run) => Ok(run),
+                        CellOutcome::Failed(error) => Err(error),
+                        CellOutcome::Panicked(message) => resume_unwind(Box::new(message)),
+                        CellOutcome::BudgetExceeded { .. } => {
+                            unreachable!("the default resilience policy sets no watchdog")
+                        }
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(SweepCell {
+                    n: cell.n,
+                    schedule: cell.schedule,
+                    schedule_index: cell.schedule_index,
+                    runs,
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(SweepResults {
+            master_seed: grid.master_seed,
+            cells,
+            wall: grid.wall,
+            threads: grid.threads,
+        })
     }
 
     /// Capability and schedule pre-flight shared by every grid driver:
@@ -685,11 +662,6 @@ where
     {
         if !B::SUPPORTS_ADVERSARY && self.schedules.iter().any(|(_, s)| s.is_dynamic()) {
             return Err(BackendError::AdversaryUnsupported { backend: B::NAME });
-        }
-        // Parallel-stepper pre-flight: an unsupported backend/plan combo
-        // fails the whole grid here, before any cell runs.
-        if self.parallel.is_some() {
-            crate::backend::parallel_rejection::<P, R>(B::NAME, B::SUPPORTS_INTRA_RUN_PARALLELISM)?;
         }
         if B::SUPPORTS_AGENT_INDICES {
             if self.init_counts.is_some() {
@@ -739,25 +711,23 @@ where
                 .map(|f| f as &dyn Fn(usize, usize) -> P::State),
             init_counts: self.init_counts.as_ref().map(|f| f(task.n as u64)),
             interaction_budget,
-            parallel: self.parallel,
         }
     }
 
-    /// Like [`Sweep::run_on`], but **resilient**: one bad run no longer
-    /// aborts the grid. Every run executes under a panic boundary and an
-    /// optional interaction-count watchdog
-    /// ([`ResiliencePolicy::budget_factor`]), and resolves to a typed
+    /// The resilient grid driver: one bad run does not abort the grid.
+    /// Every run executes under a panic boundary and an optional
+    /// interaction-count watchdog ([`ResiliencePolicy::budget_factor`]),
+    /// and resolves to a typed
     /// [`CellOutcome`]; the grid returns all of them
     /// ([`ResilientResults`]), so healthy cells keep their rows when a
     /// sibling cell panics, runs away, or fails.
     ///
-    /// Healthy runs are **bit-identical** to [`Sweep::run_on`]'s: the seed
-    /// chain, drive loop, and float arithmetic are unchanged (with no
-    /// watchdog the budget check never perturbs the loop), and panic
-    /// isolation is purely observational.
+    /// Healthy runs are **bit-identical** to [`Sweep::run_on`]'s (which
+    /// wraps this driver): with no watchdog the budget check never
+    /// perturbs the loop, and panic isolation is purely observational.
     ///
     /// Whole-grid capability errors (unsupported backend features, invalid
-    /// schedules) still fail up front with `Err`, exactly like
+    /// schedules) fail up front with `Err`, as listed on
     /// [`Sweep::run_on`] — those are grid construction bugs, not runtime
     /// faults.
     ///
@@ -910,127 +880,15 @@ where
             threads: self.threads,
         })
     }
-
-    /// Runs the whole grid on the agent-array backend, recording estimate
-    /// snapshots per run (shim over [`Sweep::run_on`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured.
-    pub fn run(self) -> SweepResults {
-        expect_run(self.run_on::<Simulator<P>, _>(TrackedEstimates))
-    }
-
-    /// Like [`Sweep::run`], but reading estimate summaries by a full state
-    /// scan at each snapshot instead of per-interaction tracking
-    /// ([`ScannedEstimates`]). Rows are
-    /// value-identical to [`Sweep::run`]'s; only the instrumentation cost
-    /// moves. The measured crossover (`BENCH_hotloop.json`,
-    /// `scanned_crossover_snapshot_interval_pt`) puts the break-even
-    /// around 0.4 parallel-time units between snapshots, so every grid
-    /// snapshotting at ≥ 1 pt — all of the paper's figures — is cheaper
-    /// scanned. Being hook-free, this shim is also the one compatible
-    /// with [`Sweep::parallel`]. Shim over [`Sweep::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured.
-    pub fn run_scanned(self) -> SweepResults {
-        expect_run(self.run_on::<Simulator<P>, _>(ScannedEstimates))
-    }
-}
-
-impl<P> Sweep<P>
-where
-    P: SizeEstimator + TickProtocol + Clone + Send + Sync,
-    P::State: Clone + Send + Sync + 'static,
-{
-    /// Like [`Sweep::run`], additionally recording phase-clock tick events
-    /// per run (the Theorem 2.2 burst/overlap analysis). Tick analyses
-    /// assume stable agent indices, so prefer static schedules.
-    /// Shim over [`Sweep::run_on`].
-    pub fn run_ticked(self) -> SweepResults {
-        expect_run(self.run_on::<Simulator<P>, _>(WithTicks(TrackedEstimates)))
-    }
-}
-
-impl<P> Sweep<P>
-where
-    P: SizeEstimator + Clone + Send + Sync,
-    P::State: Clone + Send + Sync + MemoryFootprint + 'static,
-{
-    /// Like [`Sweep::run`], additionally recording per-snapshot memory
-    /// summaries (scans all agents at each snapshot; prefer coarse
-    /// snapshot intervals at large `n`). Shim over [`Sweep::run_on`].
-    pub fn run_with_memory(self) -> SweepResults {
-        expect_run(self.run_on::<Simulator<P>, _>(WithMemory(TrackedEstimates)))
-    }
-}
-
-impl<P> Sweep<P>
-where
-    P: SizeEstimator + FiniteProtocol + Clone + Send + Sync,
-    P::State: Clone + Send + Sync + 'static,
-{
-    /// Like [`Sweep::run`], but drives every cell with the count-based
-    /// [`CountSimulator`]: O(#states) memory per run, so finite-state
-    /// substrates sweep at populations the agent array can't hold.
-    /// Supports the full adversary-schedule grid; per-agent `init_with`
-    /// initializers do not apply (use [`Sweep::init_counts`]).
-    /// Shim over [`Sweep::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured or a per-agent initializer
-    /// was set.
-    pub fn run_counted(self) -> SweepResults {
-        expect_run(self.run_on::<CountSimulator<P>, _>(TrackedEstimates))
-    }
-}
-
-impl<P> Sweep<P>
-where
-    P: SizeEstimator + DeterministicProtocol + Clone + Send + Sync,
-    P::State: Clone + Send + Sync + 'static,
-{
-    /// Like [`Sweep::run_counted`], but with the event-jump simulator:
-    /// no-op interactions are skipped in closed form, so long horizons on
-    /// nearly-quiescent substrates (late epidemics) cost only their
-    /// effective interactions. Static schedules only.
-    /// Shim over [`Sweep::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured, a per-agent initializer
-    /// was set, or any schedule carries events (the jump chain's closed
-    /// form assumes a fixed population).
-    pub fn run_jumped(self) -> SweepResults {
-        expect_run(self.run_on::<JumpSimulator<P>, _>(TrackedEstimates))
-    }
-
-    /// Like [`Sweep::run_counted`], but with the tau-leaping
-    /// [`BatchedCountSimulator`]: many interactions advance per draw, so
-    /// populations of 10⁹ and beyond sweep in seconds. Results are
-    /// **distribution-level** approximations of the count backend's (not
-    /// trajectory-identical above the exact-fallback threshold — see the
-    /// [`batched_sim`](crate::batched_sim) accuracy contract). Supports
-    /// the full adversary-schedule grid.
-    /// Shim over [`Sweep::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured or a per-agent initializer
-    /// was set.
-    pub fn run_batched(self) -> SweepResults {
-        expect_run(self.run_on::<BatchedCountSimulator<P>, _>(TrackedEstimates))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
-    use pp_model::Protocol;
+    use crate::recording::{ScannedEstimates, SnapshotsOnly, TrackedEstimates, WithTicks};
+    use crate::{BatchedCountSimulator, CountSimulator, JumpSimulator, Simulator};
+    use pp_model::{Protocol, TickProtocol};
     use rand::Rng;
 
     /// Max-spreading fixture; every agent reports its value.
@@ -1066,7 +924,9 @@ mod tests {
 
     #[test]
     fn grid_shape_is_populations_times_schedules() {
-        let r = grid().run();
+        let r = grid()
+            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.cells.len(), 4);
         assert_eq!(r.total_runs(), 12);
         let labels: Vec<(usize, &str)> =
@@ -1084,14 +944,18 @@ mod tests {
 
     #[test]
     fn schedules_apply_per_cell() {
-        let r = grid().run();
+        let r = grid()
+            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.cell(40, "static").unwrap().runs[0].final_n, 40);
         assert_eq!(r.cell(40, "halve@5").unwrap().runs[0].final_n, 10);
     }
 
     #[test]
     fn seeds_are_distinct_across_the_grid() {
-        let r = grid().run();
+        let r = grid()
+            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .unwrap();
         let mut seeds: Vec<u64> = r
             .cells
             .iter()
@@ -1107,7 +971,7 @@ mod tests {
         let run_with = |threads| {
             let mut sweep = grid().threads(threads);
             sweep.snapshot_every = 1.0;
-            sweep.run()
+            sweep.run_on::<Simulator<Max>, _>(TrackedEstimates).unwrap()
         };
         let single = run_with(1);
         let auto = run_with(0);
@@ -1118,7 +982,12 @@ mod tests {
 
     #[test]
     fn default_schedule_is_static() {
-        let r = Sweep::new(Max).populations([16]).runs(2).horizon(5.0).run();
+        let r = Sweep::new(Max)
+            .populations([16])
+            .runs(2)
+            .horizon(5.0)
+            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.cells[0].schedule, "static");
         assert_eq!(r.cells[0].runs[0].final_n, 16);
@@ -1131,7 +1000,8 @@ mod tests {
             .runs(1)
             .horizon(30.0)
             .init_with(|i| if i == 0 { 60 } else { 1 })
-            .run();
+            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .unwrap();
         let last = r.cells[0].runs[0].snapshots.last().unwrap();
         assert_eq!(last.estimates.unwrap().max, 60.0);
     }
@@ -1145,21 +1015,22 @@ mod tests {
             .runs(1)
             .horizon(40.0)
             .init_with_n(|n, i| if i == 0 { n as u32 } else { 1 })
-            .run();
+            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .unwrap();
         for cell in &r.cells {
             let last = cell.runs[0].snapshots.last().unwrap();
             assert_eq!(last.estimates.unwrap().max, cell.n as f64);
         }
     }
 
-    impl pp_model::TickProtocol for Max {
+    impl TickProtocol for Max {
         fn tick_count(&self, s: &u32) -> u64 {
             u64::from(*s)
         }
     }
 
     #[test]
-    fn run_ticked_records_tick_events() {
+    fn tick_plans_record_tick_events() {
         // Max-spreading under a tick readout of the state value: every
         // adoption of a larger value increments the "tick" count, so a
         // seeded large value must generate recorded events.
@@ -1168,7 +1039,8 @@ mod tests {
             .runs(2)
             .horizon(20.0)
             .init_with(|i| if i == 0 { 5 } else { 0 })
-            .run_ticked();
+            .run_on::<Simulator<Max>, _>(WithTicks(TrackedEstimates))
+            .unwrap();
         for run in &r.cells[0].runs {
             assert!(
                 !run.ticks.is_empty(),
@@ -1184,7 +1056,8 @@ mod tests {
             .populations([8, 32])
             .runs(1)
             .horizon_with(|n| if n == 8 { 3.0 } else { 7.0 })
-            .run();
+            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .unwrap();
         let last_t = |cell: &SweepCell| cell.runs[0].snapshots.last().unwrap().parallel_time;
         assert!(last_t(&r.cells[0]) < 4.0);
         assert!(last_t(&r.cells[1]) > 6.0);
@@ -1233,7 +1106,8 @@ mod tests {
             .master_seed(7)
             .horizon(8.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_counted();
+            .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.cells.len(), 4);
         assert_eq!(r.total_runs(), 12);
         assert_eq!(r.cell(100, "static").unwrap().runs[0].final_n, 100);
@@ -1250,7 +1124,8 @@ mod tests {
                 .horizon(20.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_counted()
+                .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+                .unwrap()
         };
         assert_eq!(sweep_with(1).cells, sweep_with(4).cells);
     }
@@ -1265,7 +1140,8 @@ mod tests {
             .runs(1)
             .horizon(0.0)
             .init_counts(|n| vec![n / 2, n / 2 + n % 2])
-            .run_counted();
+            .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.cells[0].runs[0].snapshots[0].n, n);
     }
 
@@ -1279,7 +1155,8 @@ mod tests {
             .horizon(60.0)
             .snapshot_every(10.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_jumped();
+            .run_on::<JumpSimulator<Or>, _>(TrackedEstimates)
+            .unwrap();
         for run in &r.cells[0].runs {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
             assert_eq!(last.without_estimate, 0, "epidemic finished within 60 pt");
@@ -1298,7 +1175,8 @@ mod tests {
             .horizon(60.0)
             .snapshot_every(10.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_batched();
+            .run_on::<BatchedCountSimulator<Or>, _>(TrackedEstimates)
+            .unwrap();
         for run in &r.cells[0].runs {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
             assert_eq!(last.without_estimate, 0, "epidemic finished within 60 pt");
@@ -1319,15 +1197,15 @@ mod tests {
                 .horizon(12.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_batched()
+                .run_on::<BatchedCountSimulator<Or>, _>(TrackedEstimates)
+                .unwrap()
         };
         assert_eq!(sweep_with(1).cells, sweep_with(4).cells);
     }
 
     #[test]
-    #[should_panic(expected = "static schedules only")]
     fn jumped_sweep_rejects_adversaries() {
-        let _ = Sweep::new(Or)
+        let err = Sweep::new(Or)
             .populations([16])
             .schedule(
                 "crash",
@@ -1335,18 +1213,27 @@ mod tests {
             )
             .runs(1)
             .horizon(2.0)
-            .run_jumped();
+            .run_on::<JumpSimulator<Or>, _>(TrackedEstimates)
+            .unwrap_err();
+        assert_eq!(err, BackendError::AdversaryUnsupported { backend: "jump" });
     }
 
     #[test]
-    #[should_panic(expected = "use init_counts")]
     fn counted_sweep_rejects_per_agent_init() {
-        let _ = Sweep::new(Or)
+        let err = Sweep::new(Or)
             .populations([16])
             .runs(1)
             .horizon(2.0)
             .init_with(|i| i == 0)
-            .run_counted();
+            .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BackendError::AgentIndicesUnsupported {
+                backend: "count",
+                requested: "per-agent initial states (use init_counts(..))"
+            }
+        );
     }
 
     impl TickProtocol for Or {
@@ -1357,34 +1244,6 @@ mod tests {
 
     #[test]
     fn run_on_reports_typed_errors_for_unsupported_grids() {
-        let jumped = Sweep::new(Or)
-            .populations([16])
-            .schedule(
-                "crash",
-                AdversarySchedule::new().at(1.0, PopulationEvent::ResizeTo(8)),
-            )
-            .runs(1)
-            .horizon(2.0)
-            .run_on::<JumpSimulator<Or>, _>(TrackedEstimates);
-        assert_eq!(
-            jumped.unwrap_err(),
-            BackendError::AdversaryUnsupported { backend: "jump" }
-        );
-
-        let counted_init = Sweep::new(Or)
-            .populations([16])
-            .runs(1)
-            .horizon(2.0)
-            .init_with(|i| i == 0)
-            .run_on::<CountSimulator<Or>, _>(TrackedEstimates);
-        assert_eq!(
-            counted_init.unwrap_err(),
-            BackendError::AgentIndicesUnsupported {
-                backend: "count",
-                requested: "per-agent initial states (use init_counts(..))"
-            }
-        );
-
         let counted_ticks = Sweep::new(Or)
             .populations([16])
             .runs(1)
@@ -1418,7 +1277,7 @@ mod tests {
         // produce value-identical cells — including through the adversary
         // removals of the grid fixture.
         let tracked = expect_run(grid().run_on::<Simulator<Max>, _>(TrackedEstimates));
-        let scanned = expect_run(grid().run_on::<Simulator<Max>, _>(crate::ScannedEstimates));
+        let scanned = expect_run(grid().run_on::<Simulator<Max>, _>(ScannedEstimates));
         assert_eq!(tracked.cells, scanned.cells);
     }
 
@@ -1429,7 +1288,7 @@ mod tests {
                 .populations([16])
                 .runs(1)
                 .horizon(3.0)
-                .run_on::<Simulator<Max>, _>(crate::SnapshotsOnly),
+                .run_on::<Simulator<Max>, _>(SnapshotsOnly),
         );
         let run = &r.cells[0].runs[0];
         assert_eq!(run.snapshots.len(), 4);
@@ -1469,7 +1328,8 @@ mod tests {
                 .horizon(8.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_counted()
+                .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+                .unwrap()
         };
         let single = sweep_with(1);
         // Event sizes scale with each cell's population: two bursts of a
@@ -1543,7 +1403,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "no populations")]
     fn empty_grid_rejected() {
-        let _ = Sweep::new(Max).runs(1).run();
+        let _ = Sweep::new(Max)
+            .runs(1)
+            .run_on::<Simulator<Max>, _>(TrackedEstimates);
     }
 
     #[test]
@@ -1628,6 +1490,35 @@ mod tests {
                 .collect::<Vec<_>>(),
             healthy.cells[0].runs.iter().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn run_on_re_raises_a_panicking_cells_own_message_on_any_thread_count() {
+        // Worker threads run under `std::thread::scope`, whose re-panic
+        // would carry only "a scoped thread panicked": the cell's message
+        // must survive on every thread count.
+        for threads in [1, 4] {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                Sweep::new(Max)
+                    .populations([32, 64])
+                    .runs(3)
+                    .horizon(10.0)
+                    .threads(threads)
+                    .init_with_n(|n, i| {
+                        if n == 64 {
+                            panic!("poisoned cell at n = {n}");
+                        }
+                        i as u32 + 1
+                    })
+                    .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            }))
+            .expect_err("a panicking cell must fail the grid");
+            assert_eq!(
+                panic_message(payload),
+                "poisoned cell at n = 64",
+                "threads = {threads}"
+            );
+        }
     }
 
     #[test]

@@ -15,25 +15,24 @@
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::model::SizeEstimator;
 use dynamic_size_counting::protocols::{BkrCounting, De22Counting, StaticGrvCounting};
-use dynamic_size_counting::sim::{AdversarySchedule, Experiment, PopulationEvent, RunResult};
+use dynamic_size_counting::sim::{
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, TrackedEstimates,
+};
 
 const N: usize = 4_096;
 const SURVIVORS: usize = 64;
 const CRASH_AT: f64 = 900.0;
 const HORIZON: f64 = 2_500.0;
 
-fn run<P>(name: &str, protocol: P) -> (String, RunResult)
-where
-    P: SizeEstimator + Sync,
-    P::State: Clone + Send,
-{
+fn run<P: SizeEstimator>(name: &str, protocol: P) -> (String, RunResult) {
     let schedule = AdversarySchedule::new().at(CRASH_AT, PopulationEvent::ResizeTo(SURVIVORS));
     let result = Experiment::new(protocol, N)
         .seed(99)
         .horizon(HORIZON)
         .snapshot_every(50.0)
         .schedule(schedule)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .expect("the agent-array backend supports every plan");
     (name.to_string(), result)
 }
 

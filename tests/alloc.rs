@@ -10,34 +10,47 @@
 //! path, which at 10⁷–10⁸ interactions per second is a performance bug
 //! even before the allocator lock shows up in profiles.
 //!
-//! The counting shim lives in this dedicated integration-test binary so
-//! no other test's allocations can race the counters.
+//! The counting shim lives in this dedicated integration-test binary, and
+//! it counts per thread: libtest runs this binary's tests on parallel
+//! threads, so a sibling test's set-up (a 100k-agent array, a resize) must
+//! not land in the measured window.
 
 use dynamic_size_counting::dsc::{
     AveragedDsc, Composed, DscConfig, DynamicSizeCounting, TimedRumor,
 };
 use dynamic_size_counting::protocols::{De22Backing, De22Counting};
-use dynamic_size_counting::sim::{Simulator, SoaSimulator};
+use dynamic_size_counting::sim::Simulator;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Delegates to the system allocator, counting allocation calls.
+/// Delegates to the system allocator, counting allocation calls made on
+/// the calling thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls of this thread. Const-initialised and without a
+    /// destructor, so reading or bumping it never allocates or registers
+    /// anything lazily — which makes it usable from inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation call on the current thread.
+fn count_allocation() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
 
 // SAFETY: defers entirely to `System`; the counter has no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,30 +58,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocation calls during `f`.
+/// Allocation calls the current thread makes during `f`.
 fn allocations_during(f: &mut impl FnMut()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Asserts `f` performs no heap allocation, tolerating at most one dirty
-/// window of three: the counter is process-wide, and libtest's harness
-/// thread can allocate concurrently (result bookkeeping of the previous
-/// test races the measured window — observed as a rare one-off count).
-/// Harness noise is a single burst, so it can dirty at most one window; a
-/// genuine regression — per-interaction, per-chunk, or an event-driven
-/// path like a reset that boxes something — dirties windows at its event
-/// rate and trips the two-clean-window requirement.
+/// Asserts `f` performs no heap allocation in any of three windows. The
+/// count is per thread, so other tests cannot dirty a window: any
+/// allocation counted here is the engine's.
 fn assert_allocation_free(label: &str, mut f: impl FnMut()) {
-    let dirty: Vec<u64> = (0..3)
-        .map(|_| allocations_during(&mut f))
-        .filter(|&count| count > 0)
-        .collect();
+    let counts: Vec<u64> = (0..3).map(|_| allocations_during(&mut f)).collect();
     assert!(
-        dirty.len() <= 1,
-        "{label}: allocated in {} of 3 windows ({dirty:?} allocations per dirty window)",
-        dirty.len()
+        counts.iter().all(|&count| count == 0),
+        "{label}: allocated in a measured window ({counts:?} allocations per window)"
     );
 }
 
@@ -133,7 +137,7 @@ fn steady_state_gathered_stepping_never_allocates() {
 /// Arena-backed payload overflow keeps the zero-allocation guarantee: a
 /// prefunded `De22Backing` (one fixed-quantum line run per expected agent)
 /// serves every spill from the arena's free list, so stepping with live
-/// overflow — on either engine — never touches the heap.
+/// overflow never touches the heap.
 #[test]
 fn steady_state_arena_backed_stepping_never_allocates() {
     let n = 256;
@@ -152,24 +156,6 @@ fn steady_state_arena_backed_stepping_never_allocates() {
         "arena-backed DE22 stepping must not allocate per interaction",
         || sim.step_n(STEPS),
     );
-
-    // Same guarantee on the struct-of-arrays engine (its scratch buffer
-    // and hazard bitmap are preallocated like the agent-array engine's).
-    let p = De22Counting::new().with_arena(De22Backing::new(cap, inline, n));
-    let mut sim = SoaSimulator::with_seed(p, n, 15);
-    sim.run_parallel_time(60.0);
-    assert_allocation_free(
-        "arena-backed DE22 stepping on the SoA engine must not allocate",
-        || sim.step_n(STEPS),
-    );
-
-    // And the SoA engine's plain-DSC hot path (columnar gather/scatter).
-    let mut sim =
-        SoaSimulator::with_seed(DynamicSizeCounting::new(DscConfig::empirical()), 500, 11);
-    sim.run_parallel_time(30.0);
-    assert_allocation_free("SoA DSC stepping must not allocate per chunk", || {
-        sim.step_n(STEPS)
-    });
 }
 
 /// Arena blocks grow only at adversary events, never in steady state: the

@@ -55,7 +55,6 @@ fn infection_spec(
         init_agents: None,
         init_counts: Some(vec![n as u64 - 1, 1]),
         interaction_budget: None,
-        parallel: None,
     }
 }
 
@@ -118,7 +117,6 @@ fn split_run_is_bit_identical_on_the_batched_backend() {
         init_agents: None,
         init_counts: Some(vec![n as u64 - 1, 1]),
         interaction_budget: None,
-        parallel: None,
     };
 
     let whole = finished(
@@ -336,7 +334,6 @@ fn resume_pins_backend_and_spec() {
             counts
         }),
         interaction_budget: None,
-        parallel: None,
     };
     assert!(matches!(
         CountSimulator::resume_cell(

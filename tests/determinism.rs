@@ -5,7 +5,8 @@
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::sim::runner::run_seed;
 use dynamic_size_counting::sim::{
-    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, Sweep,
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, ScannedEstimates, Simulator, Sweep,
+    TrackedEstimates,
 };
 
 fn run(seed: u64) -> RunResult {
@@ -14,7 +15,8 @@ fn run(seed: u64) -> RunResult {
         .horizon(300.0)
         .snapshot_every(5.0)
         .schedule(AdversarySchedule::new().at(150.0, PopulationEvent::ResizeTo(64)))
-        .run()
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap()
 }
 
 #[test]
@@ -69,11 +71,13 @@ fn parallel_execution_does_not_change_results() {
 /// The sweep engine's contract: the same grid and master seed yield
 /// bit-identical results no matter how the work is scheduled — serial
 /// (`threads = 1`), machine parallelism (`threads = 0`), or any explicit
-/// pool size. This leans on `parallel_map` returning results in index
-/// order and on every run seed being derived from grid position alone.
+/// pool size — and under either estimate plan (the hook-free
+/// `ScannedEstimates` records the same rows as `TrackedEstimates`). This
+/// leans on `parallel_map` returning results in index order and on every
+/// run seed being derived from grid position alone.
 #[test]
 fn sweep_results_are_bit_identical_across_thread_counts() {
-    let sweep_with = |threads: usize| {
+    let grid = |threads: usize| {
         Sweep::new(DynamicSizeCounting::new(DscConfig::empirical()))
             .populations([64, 128])
             .schedule("static", AdversarySchedule::new())
@@ -86,14 +90,23 @@ fn sweep_results_are_bit_identical_across_thread_counts() {
             .horizon(80.0)
             .snapshot_every(4.0)
             .threads(threads)
-            .run()
     };
-    let serial = sweep_with(1);
-    let auto = sweep_with(0);
-    let wide = sweep_with(8);
+    let tracked = |threads| {
+        grid(threads)
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap()
+    };
+    let serial = tracked(1);
+    let auto = tracked(0);
+    let wide = tracked(8);
+    let scanned = grid(4).run_on::<Simulator<_>, _>(ScannedEstimates).unwrap();
     // Cells carry every snapshot of every run, so equality here is
     // bit-for-bit over the full result structure.
     assert_eq!(serial.cells, auto.cells, "threads=1 vs threads=0 diverged");
     assert_eq!(serial.cells, wide.cells, "threads=1 vs threads=8 diverged");
+    assert_eq!(
+        serial.cells, scanned.cells,
+        "threads=1 tracked vs threads=4 scanned diverged"
+    );
     assert_eq!(serial.total_runs(), 12);
 }
