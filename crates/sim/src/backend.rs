@@ -105,6 +105,22 @@ pub enum BackendError {
         /// The configured budget.
         budget: u64,
     },
+    /// The initial count vector ([`CellSpec::init_counts`]) does not
+    /// describe this cell's population: it must hold one count per
+    /// protocol state and sum to the cell's `n`. Reported by the up-front
+    /// validation pass, before any simulation work.
+    InvalidInitCounts {
+        /// [`Backend::NAME`] of the rejecting backend.
+        backend: &'static str,
+        /// Length of the supplied count vector.
+        states: usize,
+        /// The protocol's number of states.
+        expected_states: usize,
+        /// Sum of the supplied counts (saturating).
+        total: u64,
+        /// The cell's population size.
+        expected_n: u64,
+    },
     /// The fault plan is malformed for this cell — see [`FaultError`] for
     /// the exact violation. Reported by the up-front compile pass, before
     /// any simulation work (a bad plan fails the whole grid).
@@ -144,6 +160,17 @@ impl fmt::Display for BackendError {
                 f,
                 "the {backend} backend aborted a runaway cell: \
                  {interactions} interactions exceed the budget of {budget}"
+            ),
+            BackendError::InvalidInitCounts {
+                backend,
+                states,
+                expected_states,
+                total,
+                expected_n,
+            } => write!(
+                f,
+                "invalid init counts for the {backend} backend: {states} counts summing to \
+                 {total}, expected {expected_states} counts summing to n = {expected_n}"
             ),
             BackendError::InvalidFaultPlan { backend, error } => {
                 write!(f, "invalid fault plan for the {backend} backend: {error}")
@@ -201,9 +228,11 @@ pub struct CellSpec<'a, S> {
     /// Per-agent initial states `f(n, i)` (agent-array backends only;
     /// count backends answer with a typed [`BackendError`]).
     pub init_agents: Option<&'a (dyn Fn(usize, usize) -> S + 'a)>,
-    /// Initial per-state counts, summing to `n` (count backends only;
-    /// the agent-array backend answers with a typed [`BackendError`],
-    /// since its initial configuration is per-agent).
+    /// Initial per-state counts, one per protocol state, summing to `n`
+    /// (count backends only, which answer a mismatch with
+    /// [`BackendError::InvalidInitCounts`]; the agent-array backend answers
+    /// with a typed [`BackendError`], since its initial configuration is
+    /// per-agent).
     pub init_counts: Option<Vec<u64>>,
     /// Interaction-count watchdog: when set, the run is aborted with a
     /// typed [`BackendError::BudgetExhausted`] at the first drive-loop
@@ -324,6 +353,34 @@ pub(crate) fn validate_schedule<S>(
     spec.schedule
         .validate_for(spec.n as u64, allows_empty)
         .map_err(|error| BackendError::InvalidSchedule { backend, error })
+}
+
+/// Validates `spec`'s initial count vector, when it has one, against the
+/// protocol's `expected_states` and the cell's population, as
+/// [`BackendError::InvalidInitCounts`] tagged with the backend. Shared by
+/// every entry point that builds a count-based simulator from a spec, so a
+/// malformed vector is a typed error instead of a worker panic or a run of
+/// a different population.
+pub(crate) fn validate_init_counts<S>(
+    backend: &'static str,
+    spec: &CellSpec<'_, S>,
+    expected_states: usize,
+) -> Result<(), BackendError> {
+    let Some(counts) = &spec.init_counts else {
+        return Ok(());
+    };
+    let total = counts.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
+    let expected_n = spec.n as u64;
+    if counts.len() == expected_states && total == expected_n {
+        return Ok(());
+    }
+    Err(BackendError::InvalidInitCounts {
+        backend,
+        states: counts.len(),
+        expected_states,
+        total,
+        expected_n,
+    })
 }
 
 /// The minimal simulator interface the drive loop needs: clock access,
@@ -753,11 +810,11 @@ where
         let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
+        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
         let mut sim = match &spec.init_counts {
             Some(counts) => CountSimulator::from_counts(protocol, counts.clone(), spec.seed),
             None => CountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
         };
-        debug_assert_eq!(sim.population(), spec.n as u64, "init counts must sum to n");
         let snapshots = drive_schedule_guarded(
             &mut CountDriver::<P, R> {
                 sim: &mut sim,
@@ -896,11 +953,11 @@ where
         let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
+        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
         let mut sim = match &spec.init_counts {
             Some(counts) => BatchedCountSimulator::from_counts(protocol, counts.clone(), spec.seed),
             None => BatchedCountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
         };
-        debug_assert_eq!(sim.population(), spec.n as u64, "init counts must sum to n");
         let snapshots = drive_schedule_guarded(
             &mut BatchedDriver::<P, R> {
                 sim: &mut sim,
@@ -960,13 +1017,13 @@ where
             });
         }
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
+        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
         let n = spec.n as u64;
         let (seed, horizon, snapshot_every) = (spec.seed, spec.horizon, spec.snapshot_every);
         let mut sim = match &spec.init_counts {
             Some(counts) => JumpSimulator::from_counts(protocol, counts.clone(), seed),
             None => JumpSimulator::with_seed(protocol, n, seed),
         };
-        debug_assert_eq!(sim.population(), n, "init counts must sum to n");
         let snap = |t: f64, interactions: u64, counts: &[u64], p: &P| Snapshot {
             parallel_time: t,
             interactions,
@@ -1234,6 +1291,84 @@ mod tests {
         );
     }
 
+    /// A 16-agent spec of the two-state `Or` with `counts` as its init
+    /// counts, and the typed error a count backend must answer a malformed
+    /// vector with.
+    fn init_counts_case(schedule: &AdversarySchedule, counts: Vec<u64>) -> CellSpec<'_, bool> {
+        let mut spec = spec(16, 1, 2.0, schedule);
+        spec.init_counts = Some(counts);
+        spec
+    }
+    fn invalid_init_counts(backend: &'static str, states: usize, total: u64) -> BackendError {
+        BackendError::InvalidInitCounts {
+            backend,
+            states,
+            expected_states: 2,
+            total,
+            expected_n: 16,
+        }
+    }
+
+    #[test]
+    fn count_backend_rejects_init_counts_of_the_wrong_length() {
+        let none = AdversarySchedule::new();
+        let spec = init_counts_case(&none, vec![15, 1, 0]);
+        assert_eq!(
+            CountSimulator::run_cell(Or, &spec, &TrackedEstimates).unwrap_err(),
+            invalid_init_counts("count", 3, 16)
+        );
+    }
+
+    #[test]
+    fn count_backend_rejects_init_counts_of_the_wrong_sum() {
+        let none = AdversarySchedule::new();
+        let spec = init_counts_case(&none, vec![15, 2]);
+        assert_eq!(
+            CountSimulator::run_cell(Or, &spec, &TrackedEstimates).unwrap_err(),
+            invalid_init_counts("count", 2, 17)
+        );
+    }
+
+    #[test]
+    fn batched_backend_rejects_init_counts_of_the_wrong_length() {
+        let none = AdversarySchedule::new();
+        let spec = init_counts_case(&none, vec![16]);
+        assert_eq!(
+            BatchedCountSimulator::run_cell(Or, &spec, &TrackedEstimates).unwrap_err(),
+            invalid_init_counts("batched-count", 1, 16)
+        );
+    }
+
+    #[test]
+    fn batched_backend_rejects_init_counts_of_the_wrong_sum() {
+        let none = AdversarySchedule::new();
+        let spec = init_counts_case(&none, vec![10, 1]);
+        assert_eq!(
+            BatchedCountSimulator::run_cell(Or, &spec, &TrackedEstimates).unwrap_err(),
+            invalid_init_counts("batched-count", 2, 11)
+        );
+    }
+
+    #[test]
+    fn jump_backend_rejects_init_counts_of_the_wrong_length() {
+        let none = AdversarySchedule::new();
+        let spec = init_counts_case(&none, vec![15, 1, 0, 0]);
+        assert_eq!(
+            JumpSimulator::run_cell(Or, &spec, &TrackedEstimates).unwrap_err(),
+            invalid_init_counts("jump", 4, 16)
+        );
+    }
+
+    #[test]
+    fn jump_backend_rejects_init_counts_of_the_wrong_sum() {
+        let none = AdversarySchedule::new();
+        let spec = init_counts_case(&none, vec![u64::MAX, 1]);
+        assert_eq!(
+            JumpSimulator::run_cell(Or, &spec, &TrackedEstimates).unwrap_err(),
+            invalid_init_counts("jump", 2, u64::MAX)
+        );
+    }
+
     #[test]
     fn agent_backend_rejects_init_counts_with_a_typed_error() {
         let none = AdversarySchedule::new();
@@ -1375,5 +1510,8 @@ mod tests {
         };
         assert!(e.to_string().contains("212 interactions"));
         assert!(e.to_string().contains("budget of 150"));
+        let e = invalid_init_counts("count", 3, 11);
+        assert!(e.to_string().contains("3 counts summing to 11"));
+        assert!(e.to_string().contains("expected 2 counts summing to n"));
     }
 }

@@ -72,8 +72,8 @@
 //! ```
 
 use crate::backend::{
-    drive_schedule_from, reject_agent_features, validate_schedule, Backend, BackendError,
-    BatchedDriver, CellSpec, CountDriver, DriveCursor,
+    drive_schedule_from, reject_agent_features, validate_init_counts, validate_schedule, Backend,
+    BackendError, BatchedDriver, CellSpec, CountDriver, DriveCursor,
 };
 use crate::batched_sim::BatchedCountSimulator;
 use crate::count_sim::CountSimulator;
@@ -620,6 +620,7 @@ where
         let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
+        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
         let mut sim = match &spec.init_counts {
             Some(counts) => CountSimulator::from_counts(protocol, counts.clone(), spec.seed),
             None => CountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
@@ -727,6 +728,7 @@ where
         let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
+        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
         let mut sim = match &spec.init_counts {
             Some(counts) => BatchedCountSimulator::from_counts(protocol, counts.clone(), spec.seed),
             None => BatchedCountSimulator::with_seed(protocol, spec.n as u64, spec.seed),

@@ -8,46 +8,59 @@
 //! `n`. This enables validating the paper's substrate lemmas (4.2–4.4) at
 //! populations far beyond what an agent array would hold.
 //!
-//! Weighted sampling runs in one of three modes, chosen by the state-space
-//! width and the recent mutation pattern, and invisible in behavior: all
-//! three compute the **same draw-to-state mapping** (the CDF inverse
-//! `i : prefix(i) <= r < prefix(i + 1)`) from the same one RNG word per
-//! draw, pinned by equivalence and RNG-budget tests:
+//! Every weighted draw computes the **same draw-to-state mapping** — the
+//! CDF inverse `i : prefix(i) <= r < prefix(i + 1)` — from one RNG word,
+//! two words per step in a fixed order, pinned by a reference-stepper
+//! equivalence test and RNG-budget tests. Two samplers answer draws,
+//! invisible in behavior:
 //!
-//! * **narrow** (`#states < CUMSUM_MIN_STATES`) — a linear scan over the
-//!   tracked occupied range, O(#occupied) per draw with tiny constants;
-//! * **wide** — a cached cumulative-sum (Fenwick) tree over the counts,
-//!   O(log #states) per draw and per count update, so a 10³-state
-//!   substrate no longer pays a 10³-entry scan per interaction;
-//! * **wide + static** — once a wide-state distribution has held still for
-//!   `max(64, #states)` consecutive net-no-op steps, an `AliasIndex`
-//!   bucket table is built over the frozen CDF and answers draws in O(1)
-//!   expected until the next mutation invalidates it (the ROADMAP's
-//!   "alias-table sampler beats the Fenwick tree on static distributions"
-//!   target — late epidemics and other quiescing substrates spend most
-//!   steps in exactly this regime).
+//! * a **block index** (`BlockCounts`) — per-block count sums over fixed
+//!   `BLOCK`-state blocks plus a lazily raised lower bound on the lowest
+//!   occupied state. A draw walks the block sums from the bound, then the
+//!   states of one block; an update touches two counters. Finite
+//!   substrates occupy a narrow window of their state space (bounded CHVP
+//!   with m = 400 spends its run inside ~10 states), so both walks are
+//!   short; a narrow state space is simply one block.
+//! * a **frozen alias index** — once a distribution over at least
+//!   `ALIAS_MIN_STATES` states has held still for `max(64, #states)`
+//!   consecutive net-no-op steps, an `AliasIndex` bucket table is built
+//!   over the frozen CDF and answers draws in O(1) expected until the
+//!   next mutation invalidates it (late epidemics and other quiescing
+//!   substrates spend most steps in exactly this regime).
+//!
+//! A step never takes the initiator out of the counts to draw the
+//! responder: the responder's offset is shifted past the initiator's last
+//! unit instead (the derivation on `AliasIndex::sample_removed`). After
+//! the transition only the *net* count change is applied — a no-op touches
+//! nothing, a one-way step (CHVP, epidemics) moves one agent between two
+//! states, and only a step that changes both agents pays two moves.
 
 use pp_model::FiniteProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
-/// State-space width at which sampling switches from the linear
-/// occupied-range scan to the cached cumulative-sum tree. Below this the
-/// scan's tiny constants win (two-state epidemics scan one or two
-/// entries); above it the O(log #states) tree wins and keeps wide
-/// substrates (bounded CHVP with m in the hundreds, mod-m clocks) off the
-/// O(#states) per-interaction path.
-const CUMSUM_MIN_STATES: usize = 64;
+/// States per block of [`BlockCounts`]. A draw walks up to `#states / 32`
+/// block sums and then up to 32 counters (four cache lines): for the
+/// widest registry substrate (bounded CHVP, 401 states) that is at most
+/// 13 sums, and its ~10-state occupied window lies in one or two blocks.
+/// A power of two, so a state's block is a shift.
+const BLOCK: usize = 32;
+
+/// Smallest state space that may freeze into an [`AliasIndex`]. Narrower
+/// spaces span at most two blocks, so their draws are already short walks
+/// and the per-step no-op-streak bookkeeping would cost more than the
+/// table saves.
+const ALIAS_MIN_STATES: usize = 64;
 
 /// Floor on the consecutive net-no-op steps required before a wide-state
 /// simulator freezes the current distribution into an `AliasIndex`. The
 /// effective threshold is `max(64, #states)` — see
 /// `CountSimulator::alias_rebuild_after` — so the O(#states + #buckets)
 /// rebuild is always amortized over at least #states unchanged steps:
-/// always-mutating protocols never pay it (they keep the pure Fenwick
-/// path), a substrate that mutates every ~100 steps pays at most O(1)
-/// amortized per step, and quiescing substrates reach the O(1) draw mode
-/// after one state-count's worth of silence.
+/// always-mutating protocols never pay it (they keep the block index), a
+/// substrate that mutates every ~100 steps pays at most O(1) amortized per
+/// step, and quiescing substrates reach the O(1) draw mode after one
+/// state-count's worth of silence.
 const ALIAS_REBUILD_FLOOR: u32 = 64;
 
 /// An alias-style bucket-jump table over the cumulative state counts,
@@ -60,11 +73,11 @@ const ALIAS_REBUILD_FLOOR: u32 = 64;
 /// draw-to-state map differs from the CDF inverse — it would sample the
 /// same distribution while following a different trajectory, breaking the
 /// crate's sampler-equivalence contract (recorded traces, golden rows, and
-/// the `*_produce_identical_trajectories` tests all pin the mapping).
+/// the reference-stepper equivalence test all pin the mapping).
 /// Instead each bucket stores where the CDF inverse *starts* for its slice
 /// of `[0, total)`; a draw jumps to that state and walks forward. With
 /// `#buckets ≈ 2·#states` the expected walk is O(1), and the mapping is
-/// bit-for-bit the linear scan's and the Fenwick descent's.
+/// bit-for-bit the block index's.
 #[derive(Debug, Clone)]
 struct AliasIndex {
     /// `prefix[i]` = total count of states `< i` (len = #states + 1).
@@ -116,7 +129,7 @@ impl AliasIndex {
     }
 
     /// The state containing offset `r` of the cumulative distribution —
-    /// exactly the index the linear scan and the Fenwick descent return.
+    /// exactly the index [`BlockCounts::draw`] returns.
     #[inline]
     fn sample(&self, r: u64) -> usize {
         let mut i = self.bucket[(r >> self.shift) as usize] as usize;
@@ -134,7 +147,7 @@ impl AliasIndex {
     /// past `removed` drops by one, so the decremented CDF inverse equals
     /// `sample(r)` for `r < prefix[removed + 1] − 1` and `sample(r + 1)`
     /// beyond — the responder draw of a step can therefore reuse the
-    /// initiator's frozen table.
+    /// initiator's frozen table (the block index applies the same shift).
     #[inline]
     fn sample_removed(&self, r: u64, removed: usize) -> usize {
         if r + 1 >= self.prefix[removed + 1] {
@@ -145,72 +158,83 @@ impl AliasIndex {
     }
 }
 
-/// A Fenwick (binary-indexed) tree caching cumulative state counts.
+/// Per-state counts indexed for weighted draws by per-block sums.
 ///
-/// Supports O(log len) point updates and an O(log len) weighted draw by
-/// binary-search descent. The descent returns **exactly** the index the
-/// linear scan would: the unique state `i` with
-/// `prefix(i) <= r < prefix(i + 1)`.
+/// A draw returns **exactly** the CDF inverse — the unique state `i` with
+/// `prefix(i) <= r < prefix(i + 1)` — together with `prefix(i)`, the mass
+/// below it. Every state below `lo` is empty: increments lower the bound
+/// eagerly, and draws raise it lazily past emptied blocks and then
+/// emptied states, so a draw skips everything below the occupied window.
 #[derive(Debug, Clone)]
-struct PrefixCounts {
-    /// 1-indexed Fenwick array; `tree[0]` is unused.
-    tree: Vec<u64>,
-    /// Largest power of two ≤ the number of states (descent start).
-    top: usize,
+struct BlockCounts {
+    /// One counter per state.
+    counts: Vec<u64>,
+    /// `sums[b]` = total count of the states in block `b`.
+    sums: Vec<u64>,
+    /// Lower bound on the lowest occupied state.
+    lo: usize,
 }
 
-impl PrefixCounts {
-    /// Builds the tree from per-state counts in O(len).
-    fn build(counts: &[u64]) -> Self {
-        let len = counts.len();
-        let mut tree = vec![0u64; len + 1];
-        for (i, &c) in counts.iter().enumerate() {
-            let j = i + 1;
-            tree[j] += c;
-            let parent = j + (j & j.wrapping_neg());
-            if parent <= len {
-                tree[parent] += tree[j];
-            }
-        }
-        let top = if len == 0 {
-            0
-        } else {
-            1usize << (usize::BITS - 1 - len.leading_zeros())
-        };
-        PrefixCounts { tree, top }
+impl BlockCounts {
+    /// Indexes `counts` in O(#states).
+    fn build(counts: Vec<u64>) -> Self {
+        let sums = counts
+            .chunks(BLOCK)
+            .map(|block| block.iter().sum())
+            .collect();
+        let lo = counts.iter().position(|&c| c > 0).unwrap_or(0);
+        BlockCounts { counts, sums, lo }
     }
 
-    /// Adds `delta` to state `i`'s count.
+    /// Adds `delta` agents to state `i`.
+    #[inline]
     fn add(&mut self, i: usize, delta: u64) {
-        let mut j = i + 1;
-        while j < self.tree.len() {
-            self.tree[j] += delta;
-            j += j & j.wrapping_neg();
-        }
+        self.counts[i] += delta;
+        self.sums[i / BLOCK] += delta;
+        self.lo = self.lo.min(i);
     }
 
-    /// Subtracts `delta` from state `i`'s count.
+    /// Removes `delta` agents from state `i`.
+    #[inline]
     fn sub(&mut self, i: usize, delta: u64) {
-        let mut j = i + 1;
-        while j < self.tree.len() {
-            self.tree[j] -= delta;
-            j += j & j.wrapping_neg();
-        }
+        self.counts[i] -= delta;
+        self.sums[i / BLOCK] -= delta;
     }
 
-    /// The state containing offset `r` of the cumulative distribution.
-    fn sample(&self, mut r: u64) -> usize {
-        let mut pos = 0usize;
-        let mut step = self.top;
-        while step > 0 {
-            let next = pos + step;
-            if next < self.tree.len() && self.tree[next] <= r {
-                r -= self.tree[next];
-                pos = next;
+    /// Moves one agent from state `from` to state `to`.
+    #[inline]
+    fn shift(&mut self, from: usize, to: usize) {
+        self.sub(from, 1);
+        self.add(to, 1);
+    }
+
+    /// The state containing offset `r` of the cumulative distribution, and
+    /// the mass of the states below it. `r` must be below the total count.
+    #[inline]
+    fn draw(&mut self, r: u64) -> (usize, u64) {
+        let mut b = self.lo / BLOCK;
+        if self.sums[b] == 0 {
+            while self.sums[b] == 0 {
+                b += 1;
             }
-            step >>= 1;
+            self.lo = b * BLOCK;
         }
-        pos
+        while self.counts[self.lo] == 0 {
+            self.lo += 1;
+        }
+        // The states of block `b` below `lo` are empty, so its sum is the
+        // mass from `lo` on.
+        let mut rest = r;
+        while rest >= self.sums[b] {
+            rest -= self.sums[b];
+            b += 1;
+        }
+        let mut i = (b * BLOCK).max(self.lo);
+        while rest >= self.counts[i] {
+            rest -= self.counts[i];
+            i += 1;
+        }
+        (i, r - rest)
     }
 }
 
@@ -248,18 +272,12 @@ impl PrefixCounts {
 #[derive(Debug)]
 pub struct CountSimulator<P: FiniteProtocol, R: Rng = SmallRng> {
     protocol: P,
-    counts: Vec<u64>,
+    /// The per-state counts and their draw index.
+    index: BlockCounts,
     n: u64,
     rng: R,
     interactions: u64,
     parallel_time: f64,
-    /// Exclusive upper bound on occupied state indices; bounds the
-    /// weighted-sampling scan. Grows eagerly when a state becomes
-    /// occupied and shrinks lazily when the top states empty out.
-    occupied_hi: usize,
-    /// Cached cumulative counts for the wide-state-space sampling mode
-    /// (`None` below [`CUMSUM_MIN_STATES`]: the linear scan wins there).
-    prefix: Option<PrefixCounts>,
     /// Frozen O(1) sampler for static distributions (wide spaces only);
     /// valid only while `alias_clean`.
     alias: Option<AliasIndex>,
@@ -270,36 +288,12 @@ pub struct CountSimulator<P: FiniteProtocol, R: Rng = SmallRng> {
     noop_streak: u32,
 }
 
-/// The cumulative-sum tree for `counts`, when the state space is wide
-/// enough for it to pay off.
-fn prefix_for(counts: &[u64]) -> Option<PrefixCounts> {
-    (counts.len() >= CUMSUM_MIN_STATES).then(|| PrefixCounts::build(counts))
-}
-
 impl<P: FiniteProtocol> CountSimulator<P, SmallRng> {
     /// Creates a simulator of `n` agents in the protocol's initial state.
     pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
         let mut counts = vec![0u64; protocol.num_states()];
-        let mut occupied_hi = 0;
-        if n > 0 {
-            let init = protocol.state_index(&protocol.initial_state());
-            counts[init] = n;
-            occupied_hi = init + 1;
-        }
-        let prefix = prefix_for(&counts);
-        CountSimulator {
-            protocol,
-            counts,
-            n,
-            rng: SmallRng::seed_from_u64(seed),
-            interactions: 0,
-            parallel_time: 0.0,
-            occupied_hi,
-            prefix,
-            alias: None,
-            alias_clean: false,
-            noop_streak: 0,
-        }
+        counts[protocol.state_index(&protocol.initial_state())] = n;
+        Self::from_counts(protocol, counts, seed)
     }
 
     /// Creates a simulator from explicit per-state counts.
@@ -326,17 +320,13 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
             "counts must cover every state"
         );
         let n = counts.iter().sum();
-        let occupied_hi = counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
-        let prefix = prefix_for(&counts);
         CountSimulator {
             protocol,
-            counts,
+            index: BlockCounts::build(counts),
             n,
             rng,
             interactions: 0,
             parallel_time: 0.0,
-            occupied_hi,
-            prefix,
             alias: None,
             alias_clean: false,
             noop_streak: 0,
@@ -347,14 +337,15 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     /// generator mid-stream, and the clocks.
     ///
     /// Only the five arguments are serialized; everything else is derived.
-    /// `occupied_hi` and the prefix tree rebuild from the counts (pinned
-    /// equal to the incrementally maintained versions by the
-    /// `prefix_tree_stays_consistent_with_counts` test), and the sampler
-    /// accelerators (`alias`, `noop_streak`) restart cold — they select a
-    /// sampling *mode*, and all modes are draw-for-draw identical (pinned by
-    /// `tree_and_linear_samplers_produce_identical_trajectories` and
-    /// `alias_sampler_engages_and_matches_the_linear_trajectory`), so a
-    /// restored simulator replays the uninterrupted run bit for bit.
+    /// The block index rebuilds from the counts (pinned equal to the
+    /// incrementally maintained one by the
+    /// `block_index_stays_consistent_with_a_fresh_build` test; its lazy
+    /// lower bound may start higher, which only skips empty states), and
+    /// the alias accelerator (`alias`, `noop_streak`) restarts cold — it
+    /// selects a sampling *mode*, and both modes are draw-for-draw
+    /// identical (pinned by `count_simulator_matches_the_reference_stepper`
+    /// and `alias_sampler_engages_and_matches_the_reference_trajectory`),
+    /// so a restored simulator replays the uninterrupted run bit for bit.
     ///
     /// # Panics
     ///
@@ -394,7 +385,7 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
 
     /// Count of agents in the state with index `i`.
     pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
+        self.index.counts[i]
     }
 
     /// The simulator's generator (read-only; instrumented RNGs injected via
@@ -405,7 +396,7 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
 
     /// All per-state counts.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        &self.index.counts
     }
 
     /// No-op streak at which a dirty alias table is (re)built: at least
@@ -413,7 +404,7 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     /// O(#states) rebuild stays amortized whatever the mutation cadence.
     #[inline]
     fn alias_rebuild_after(&self) -> u32 {
-        (self.counts.len() as u32).max(ALIAS_REBUILD_FLOOR)
+        (self.index.counts.len() as u32).max(ALIAS_REBUILD_FLOOR)
     }
 
     /// Drops the frozen static-distribution sampler: the counts are about
@@ -430,86 +421,28 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     /// re-summing every state.
     pub fn set_count(&mut self, i: usize, count: u64) {
         self.invalidate_alias();
-        let old = self.counts[i];
+        let old = self.index.counts[i];
         self.n = self.n - old + count;
-        self.counts[i] = count;
-        if count > 0 {
-            self.occupied_hi = self.occupied_hi.max(i + 1);
-        }
-        if let Some(prefix) = &mut self.prefix {
-            if count >= old {
-                prefix.add(i, count - old);
-            } else {
-                prefix.sub(i, old - count);
-            }
-        }
+        self.index.sub(i, old);
+        self.index.add(i, count);
     }
 
     /// Smallest state index with a nonzero count.
     pub fn min_occupied(&self) -> Option<usize> {
-        self.counts.iter().position(|&c| c > 0)
+        self.counts().iter().position(|&c| c > 0)
     }
 
     /// Largest state index with a nonzero count.
     pub fn max_occupied(&self) -> Option<usize> {
-        self.counts[..self.occupied_hi].iter().rposition(|&c| c > 0)
-    }
-
-    /// Draws a state index weighted by `counts`, given their current total.
-    ///
-    /// Exactly one RNG word per draw in either sampling mode, and the same
-    /// word-to-state mapping: the state `i` with `prefix(i) <= r <
-    /// prefix(i + 1)`. Narrow state spaces scan the tracked occupied
-    /// range (O(#occupied), tiny constants); wide ones descend the cached
-    /// cumulative-sum tree (O(log #states)).
-    #[inline]
-    fn sample_state(&mut self, total: u64) -> usize {
-        debug_assert!(total > 0);
-        if let Some(prefix) = &self.prefix {
-            return prefix.sample(self.rng.random_range(0..total));
-        }
-        // Lazily tighten the bound: decrements in `step` may have emptied
-        // the top of the range.
-        while self.occupied_hi > 0 && self.counts[self.occupied_hi - 1] == 0 {
-            self.occupied_hi -= 1;
-        }
-        let mut r = self.rng.random_range(0..total);
-        for (i, &c) in self.counts[..self.occupied_hi].iter().enumerate() {
-            if r < c {
-                return i;
-            }
-            r -= c;
-        }
-        unreachable!("counts changed during sampling");
-    }
-
-    /// Decrements state `i`'s count, keeping the cumulative cache in sync.
-    #[inline]
-    fn decrement(&mut self, i: usize) {
-        self.counts[i] -= 1;
-        if let Some(prefix) = &mut self.prefix {
-            prefix.sub(i, 1);
-        }
-    }
-
-    /// Increments state `i`'s count, keeping the cumulative cache and the
-    /// occupied bound in sync.
-    #[inline]
-    fn increment(&mut self, i: usize) {
-        self.counts[i] += 1;
-        self.occupied_hi = self.occupied_hi.max(i + 1);
-        if let Some(prefix) = &mut self.prefix {
-            prefix.add(i, 1);
-        }
+        self.counts().iter().rposition(|&c| c > 0)
     }
 
     /// Simulates one interaction.
     ///
-    /// Draws go through the frozen alias table while it is valid (the
-    /// responder draw adjusts for the initiator's decrement in O(1)), and
-    /// through the Fenwick/linear samplers otherwise. All paths consume
-    /// one RNG word per draw and compute the same CDF-inverse mapping, so
-    /// the trajectory is independent of the mode.
+    /// Draws go through the frozen alias table while it is valid and
+    /// through the block index otherwise. Both consume one RNG word per
+    /// draw and compute the same CDF-inverse mapping, so the trajectory is
+    /// independent of the mode.
     ///
     /// # Panics
     ///
@@ -519,88 +452,80 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
         if self.alias_clean {
             self.step_via_alias();
         } else {
-            self.step_via_samplers();
+            self.step_via_index();
         }
         self.interactions += 1;
         self.parallel_time += 1.0 / self.n as f64;
     }
 
     /// The static-distribution fast path: O(1)-expected draws from the
-    /// frozen table and **no** Fenwick traffic while the step leaves the
-    /// counts unchanged — the tree is never read in this mode, so its
-    /// four per-step updates are deferred to the (rare) effective step
-    /// that exits the mode, where the deltas are reconciled in one go.
+    /// frozen table; the first step that changes a count leaves the mode.
     fn step_via_alias(&mut self) {
-        debug_assert_eq!(
-            self.alias.as_ref().expect("clean implies built").total,
-            self.n,
-            "clean table must match n"
-        );
-        let r1 = self.rng.random_range(0..self.n);
-        let si = self.alias.as_ref().expect("clean implies built").sample(r1);
-        let r2 = self.rng.random_range(0..self.n - 1);
-        let sj = self
-            .alias
-            .as_ref()
-            .expect("clean implies built")
-            .sample_removed(r2, si);
-        let mut u = self.protocol.state_from_index(si);
-        let mut v = self.protocol.state_from_index(sj);
-        self.protocol.interact(&mut u, &mut v, &mut self.rng);
-        let oi = self.protocol.state_index(&u);
-        let oj = self.protocol.state_index(&v);
-        if (oi == si && oj == sj) || (oi == sj && oj == si) {
-            // Net no-op: every count (and the Fenwick tree, untouched)
-            // is exactly as before the step.
-            return;
+        let alias = self.alias.as_ref().expect("clean implies built");
+        debug_assert_eq!(alias.total, self.n, "clean table must match n");
+        let si = alias.sample(self.rng.random_range(0..self.n));
+        let sj = alias.sample_removed(self.rng.random_range(0..self.n - 1), si);
+        if self.interact_and_apply(si, sj) {
+            self.invalidate_alias();
         }
-        self.counts[si] -= 1;
-        self.counts[sj] -= 1;
-        self.counts[oi] += 1;
-        self.counts[oj] += 1;
-        self.occupied_hi = self.occupied_hi.max(oi + 1).max(oj + 1);
-        if let Some(prefix) = &mut self.prefix {
-            prefix.sub(si, 1);
-            prefix.sub(sj, 1);
-            prefix.add(oi, 1);
-            prefix.add(oj, 1);
-        }
-        self.invalidate_alias();
     }
 
-    /// The general path: weighted draws through the Fenwick tree or the
-    /// linear occupied-range scan, with eager per-draw count updates, plus
-    /// the no-op-streak bookkeeping that freezes a wide static
-    /// distribution into the alias table.
-    fn step_via_samplers(&mut self) {
-        let si = self.sample_state(self.n);
-        self.decrement(si);
-        let sj = self.sample_state(self.n - 1);
-        self.decrement(sj);
-        let mut u = self.protocol.state_from_index(si);
-        let mut v = self.protocol.state_from_index(sj);
-        self.protocol.interact(&mut u, &mut v, &mut self.rng);
-        let oi = self.protocol.state_index(&u);
-        let oj = self.protocol.state_index(&v);
-        self.increment(oi);
-        self.increment(oj);
-        // Static-distribution bookkeeping (wide spaces only): a step whose
-        // outputs equal its inputs as a multiset left every count where it
-        // was. A long enough run of such steps freezes the distribution
+    /// The general path: both draws through the block index, plus the
+    /// no-op-streak bookkeeping that freezes a wide static distribution
+    /// into the alias table.
+    fn step_via_index(&mut self) {
+        let (si, below) = self.index.draw(self.rng.random_range(0..self.n));
+        // The responder is drawn from the counts with the initiator taken
+        // out, without taking it out: offsets from the initiator's last
+        // unit on move up by one (see `AliasIndex::sample_removed`).
+        let r = self.rng.random_range(0..self.n - 1);
+        let r = r + u64::from(r + 1 >= below + self.index.counts[si]);
+        let (sj, _) = self.index.draw(r);
+        let changed = self.interact_and_apply(si, sj);
+        // A long enough run of net no-op steps freezes the distribution
         // into the O(1) alias table; any count change resets the streak.
-        if self.prefix.is_some() {
-            let unchanged = (oi == si && oj == sj) || (oi == sj && oj == si);
-            if unchanged {
+        if self.index.counts.len() >= ALIAS_MIN_STATES {
+            if changed {
+                self.invalidate_alias();
+            } else {
                 self.noop_streak += 1;
                 if self.noop_streak >= self.alias_rebuild_after() {
-                    self.alias = AliasIndex::build(&self.counts);
+                    self.alias = AliasIndex::build(&self.index.counts);
                     self.alias_clean = self.alias.is_some();
                     self.noop_streak = 0;
                 }
-            } else {
-                self.invalidate_alias();
             }
         }
+    }
+
+    /// Runs the transition on an initiator in state `si` and a responder
+    /// in state `sj`, and applies its net count change: one matching
+    /// removed/added state cancels, so a no-op touches nothing and a
+    /// one-way step moves one agent. Returns whether any count changed.
+    #[inline]
+    fn interact_and_apply(&mut self, si: usize, sj: usize) -> bool {
+        let mut u = self.protocol.state_from_index(si);
+        let mut v = self.protocol.state_from_index(sj);
+        self.protocol.interact(&mut u, &mut v, &mut self.rng);
+        let oi = self.protocol.state_index(&u);
+        let oj = self.protocol.state_index(&v);
+        let (from, to) = if oi == si {
+            (sj, oj)
+        } else if oj == sj {
+            (si, oi)
+        } else if oi == sj {
+            (si, oj)
+        } else if oj == si {
+            (sj, oi)
+        } else {
+            self.index.shift(si, oi);
+            (sj, oj)
+        };
+        if from == to {
+            return false;
+        }
+        self.index.shift(from, to);
+        true
     }
 
     /// Simulates `count` interactions.
@@ -630,12 +555,17 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     pub fn add_agents(&mut self, count: u64) {
         self.invalidate_alias();
         let init = self.protocol.state_index(&self.protocol.initial_state());
-        self.counts[init] += count;
+        self.index.add(init, count);
         self.n += count;
-        self.occupied_hi = self.occupied_hi.max(init + 1);
-        if let Some(prefix) = &mut self.prefix {
-            prefix.add(init, count);
-        }
+    }
+
+    /// Removes one agent drawn uniformly at random and returns its state.
+    #[inline]
+    fn remove_one(&mut self) -> usize {
+        let (si, _) = self.index.draw(self.rng.random_range(0..self.n));
+        self.index.sub(si, 1);
+        self.n -= 1;
+        si
     }
 
     /// Removes `count` agents chosen uniformly at random (weighted state
@@ -660,28 +590,17 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
         let keep = self.n - count;
         if count <= keep {
             for _ in 0..count {
-                let si = self.sample_state(self.n);
-                self.decrement(si);
-                self.n -= 1;
+                self.remove_one();
             }
         } else {
             // Draw the survivors without replacement from the current
             // configuration, then swap the survivor counts in.
-            let mut survivors = vec![0u64; self.counts.len()];
+            let mut survivors = vec![0u64; self.index.counts.len()];
             for _ in 0..keep {
-                let si = self.sample_state(self.n);
-                self.decrement(si);
-                self.n -= 1;
-                survivors[si] += 1;
+                survivors[self.remove_one()] += 1;
             }
-            self.counts = survivors;
+            self.index = BlockCounts::build(survivors);
             self.n = keep;
-            self.occupied_hi = self
-                .counts
-                .iter()
-                .rposition(|&c| c > 0)
-                .map_or(0, |i| i + 1);
-            self.prefix = prefix_for(&self.counts);
         }
     }
 
@@ -702,6 +621,7 @@ mod tests {
     use pp_model::Protocol;
     use rand::Rng;
 
+    #[derive(Clone, Copy)]
     struct Or;
     impl Protocol for Or {
         type State = bool;
@@ -759,42 +679,109 @@ mod tests {
         let steps = 1_000u64;
         let mut sim =
             CountSimulator::from_counts_with_rng(Or, vec![600, 400], CountingRng::seeded(12));
-        assert!(sim.prefix.is_none(), "two states must use the linear scan");
+        assert_eq!(sim.index.sums.len(), 1, "two states are one block");
         sim.step_n(steps);
         assert_eq!(sim.rng().words, 2 * steps);
     }
 
-    /// A wide-state-space fixture (well above [`CUMSUM_MIN_STATES`]):
-    /// one-sided "drift towards the larger value, plus one, capped".
-    /// RNG-free transitions, so the per-step word budget is pure sampler.
-    #[derive(Clone)]
-    struct Drift;
+    /// Width of the wide-state-space fixtures in the fixed-width tests:
+    /// several blocks, and above [`ALIAS_MIN_STATES`].
     const DRIFT_STATES: usize = 300;
+
+    /// One-sided "drift towards the larger value, plus one, capped" over
+    /// `.0` states. RNG-free transitions, so the per-step word budget is
+    /// pure sampler.
+    #[derive(Clone, Copy)]
+    struct Drift(usize);
     impl Protocol for Drift {
         type State = u16;
         fn initial_state(&self) -> u16 {
             0
         }
         fn interact<R: Rng + ?Sized>(&self, u: &mut u16, v: &mut u16, _: &mut R) {
-            *u = (*u).max(*v).saturating_add(1).min(DRIFT_STATES as u16 - 1);
-        }
-    }
-    impl FiniteProtocol for Drift {
-        fn num_states(&self) -> usize {
-            DRIFT_STATES
-        }
-        fn state_index(&self, s: &u16) -> usize {
-            *s as usize
-        }
-        fn state_from_index(&self, i: usize) -> u16 {
-            i as u16
+            *u = (*u).max(*v).saturating_add(1).min(self.0 as u16 - 1);
         }
     }
 
-    /// Same draw-order guard for the cumulative-sum sampler: the tree draw
-    /// is still one word per state sample, so wide state spaces keep the
-    /// exact per-step randomness budget of the linear scan — recorded
-    /// traces stay valid whichever sampler a state-space width selects.
+    /// A protocol over `.0` states whose transitions never change any
+    /// count: the pure static-distribution regime the alias table exists
+    /// for.
+    #[derive(Clone, Copy)]
+    struct Inert(usize);
+    impl Protocol for Inert {
+        type State = u16;
+        fn initial_state(&self) -> u16 {
+            0
+        }
+        fn interact<R: Rng + ?Sized>(&self, _u: &mut u16, _v: &mut u16, _: &mut R) {}
+    }
+
+    /// One-way countdown over `.0` states, shaped like bounded CHVP:
+    /// `(u, v) → (max{u, v} − 1, v)`, so the occupied window drifts down
+    /// and the lower bound moves with it. Fresh agents start at the top.
+    #[derive(Clone, Copy)]
+    struct Countdown(usize);
+    impl Protocol for Countdown {
+        type State = u16;
+        fn initial_state(&self) -> u16 {
+            self.0 as u16 - 1
+        }
+        fn interact<R: Rng + ?Sized>(&self, u: &mut u16, v: &mut u16, _: &mut R) {
+            *u = (*u).max(*v).saturating_sub(1);
+        }
+    }
+
+    /// A two-way fixture over `.0` states that spends one RNG word per
+    /// transition on picking one of `.1` outcomes: a move of both agents,
+    /// a one-sided move, a swap, or (all the rest) a no-op. Every net-delta
+    /// case runs and the transition's words interleave with the sampler's;
+    /// with many outcomes the no-op streaks are long enough to freeze the
+    /// alias table, and the moves that leave it depend on the responder.
+    #[derive(Clone, Copy)]
+    struct Mix(usize, u64);
+    impl Protocol for Mix {
+        type State = u16;
+        fn initial_state(&self) -> u16 {
+            0
+        }
+        fn interact<R: Rng + ?Sized>(&self, u: &mut u16, v: &mut u16, rng: &mut R) {
+            let s = self.0 as u64;
+            let (a, b) = (u64::from(*u), u64::from(*v));
+            match rng.next_u64() % self.1 {
+                0 => {
+                    *u = ((a + b + 1) % s) as u16;
+                    *v = ((3 * a + 2) % s) as u16;
+                }
+                1 => *u = ((a + b + 1) % s) as u16,
+                2 => std::mem::swap(u, v),
+                _ => {}
+            }
+        }
+    }
+
+    /// The state indexing of the `u16`-state fixtures: the width is the
+    /// first field, and a state is its own index.
+    macro_rules! u16_states {
+        ($($fixture:ident),*) => {$(
+            impl FiniteProtocol for $fixture {
+                fn num_states(&self) -> usize {
+                    self.0
+                }
+                fn state_index(&self, s: &u16) -> usize {
+                    *s as usize
+                }
+                fn state_from_index(&self, i: usize) -> u16 {
+                    i as u16
+                }
+            }
+        )*};
+    }
+    u16_states!(Drift, Inert, Countdown, Mix);
+
+    /// Same draw-order guard for a multi-block state space: each draw is
+    /// still one word per state sample, so wide state spaces keep the
+    /// exact per-step randomness budget of narrow ones — recorded traces
+    /// stay valid whatever the state-space width.
     #[test]
     fn wide_state_step_consumes_exactly_two_rng_words() {
         let steps = 1_000u64;
@@ -802,77 +789,349 @@ mod tests {
         counts[0] = 700;
         counts[150] = 200;
         counts[DRIFT_STATES - 1] = 100;
-        let mut sim = CountSimulator::from_counts_with_rng(Drift, counts, CountingRng::seeded(13));
-        assert!(sim.prefix.is_some(), "wide spaces must use the tree");
+        let mut sim = CountSimulator::from_counts_with_rng(
+            Drift(DRIFT_STATES),
+            counts,
+            CountingRng::seeded(13),
+        );
+        assert!(sim.index.sums.len() > 1, "wide spaces span several blocks");
         sim.step_n(steps);
         assert_eq!(sim.rng().words, 2 * steps);
     }
 
-    /// The tree sampler must be draw-for-draw identical to the linear scan
-    /// — same seed, same trajectory — including across count mutations
-    /// from adversary-style operations.
+    /// The sampler this module replaced, kept as the equivalence oracle:
+    /// a linear CDF scan over the full count vector per draw, with the
+    /// initiator's count decremented before the responder draw and every
+    /// count of a step updated eagerly.
+    struct ReferenceStepper<P> {
+        protocol: P,
+        counts: Vec<u64>,
+        n: u64,
+        rng: CountingRng,
+    }
+
+    impl<P: FiniteProtocol> ReferenceStepper<P> {
+        fn new(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
+            let n = counts.iter().sum();
+            ReferenceStepper {
+                protocol,
+                counts,
+                n,
+                rng: CountingRng::seeded(seed),
+            }
+        }
+
+        fn draw(&mut self, total: u64) -> usize {
+            let mut r = self.rng.random_range(0..total);
+            for (i, &c) in self.counts.iter().enumerate() {
+                if r < c {
+                    return i;
+                }
+                r -= c;
+            }
+            unreachable!("offset beyond total");
+        }
+
+        fn step(&mut self) {
+            let si = self.draw(self.n);
+            self.counts[si] -= 1;
+            let sj = self.draw(self.n - 1);
+            self.counts[sj] -= 1;
+            let mut u = self.protocol.state_from_index(si);
+            let mut v = self.protocol.state_from_index(sj);
+            self.protocol.interact(&mut u, &mut v, &mut self.rng);
+            self.counts[self.protocol.state_index(&u)] += 1;
+            self.counts[self.protocol.state_index(&v)] += 1;
+        }
+
+        fn step_n(&mut self, count: u64) {
+            for _ in 0..count {
+                self.step();
+            }
+        }
+
+        fn add_agents(&mut self, count: u64) {
+            let init = self.protocol.state_index(&self.protocol.initial_state());
+            self.counts[init] += count;
+            self.n += count;
+        }
+
+        fn remove_uniform(&mut self, count: u64) {
+            let keep = self.n - count;
+            let draws = count.min(keep);
+            let mut drawn = vec![0u64; self.counts.len()];
+            for _ in 0..draws {
+                let si = self.draw(self.n);
+                self.counts[si] -= 1;
+                self.n -= 1;
+                drawn[si] += 1;
+            }
+            if count > keep {
+                self.counts = drawn;
+                self.n = keep;
+            }
+        }
+
+        fn set_count(&mut self, i: usize, count: u64) {
+            self.n = self.n - self.counts[i] + count;
+            self.counts[i] = count;
+        }
+
+        fn resize_to(&mut self, target: u64) {
+            if target > self.n {
+                self.add_agents(target - self.n);
+            } else {
+                self.remove_uniform(self.n - target);
+            }
+        }
+    }
+
+    /// Asserts the incrementally maintained index equals a fresh build of
+    /// its counts: the same block sums, and a lower bound at or below the
+    /// lowest occupied state.
+    fn assert_index_consistent(index: &BlockCounts) {
+        let fresh = BlockCounts::build(index.counts.clone());
+        assert_eq!(index.sums, fresh.sums, "block sums drifted from the counts");
+        if let Some(lowest) = index.counts.iter().position(|&c| c > 0) {
+            assert!(
+                index.lo <= lowest,
+                "lower bound {} above the lowest occupied state {lowest}",
+                index.lo
+            );
+        }
+    }
+
+    /// Asserts the simulator and the reference hold the same counts and
+    /// population, and have drawn the same number of RNG words.
+    fn assert_in_lockstep<P: FiniteProtocol>(
+        sim: &CountSimulator<P, CountingRng>,
+        reference: &ReferenceStepper<P>,
+        context: &str,
+    ) {
+        assert_eq!(sim.counts(), &reference.counts[..], "counts: {context}");
+        assert_eq!(sim.population(), reference.n, "population: {context}");
+        assert_eq!(sim.rng().words, reference.rng.words, "RNG words: {context}");
+        assert_index_consistent(&sim.index);
+    }
+
+    /// Runs `ops` — `(kind, amount, state)` triples decoded into steps and
+    /// every adversary-style mutation, both `remove_uniform` branches
+    /// included — on the simulator and the reference stepper in lockstep,
+    /// asserting identical counts and RNG word counts after every one.
+    fn check_against_reference<P: FiniteProtocol + Copy>(
+        protocol: P,
+        counts: Vec<u64>,
+        seed: u64,
+        ops: &[(usize, u64, usize)],
+    ) {
+        let width = counts.len();
+        let mut sim = CountSimulator::from_counts_with_rng(
+            protocol,
+            counts.clone(),
+            CountingRng::seeded(seed),
+        );
+        let mut reference = ReferenceStepper::new(protocol, counts, seed);
+        assert_in_lockstep(&sim, &reference, "initial");
+        for (k, &(kind, amount, state)) in ops.iter().enumerate() {
+            let n = sim.population();
+            match kind {
+                0 | 1 if n >= 2 => {
+                    sim.step_n(amount);
+                    reference.step_n(amount);
+                }
+                0 | 1 => {}
+                2 => {
+                    sim.add_agents(amount % 50);
+                    reference.add_agents(amount % 50);
+                }
+                3 => {
+                    sim.remove_uniform(amount % (n + 1));
+                    reference.remove_uniform(amount % (n + 1));
+                }
+                4 => {
+                    sim.set_count(state % width, amount % 40);
+                    reference.set_count(state % width, amount % 40);
+                }
+                _ => {
+                    sim.resize_to(amount % (2 * n + 5));
+                    reference.resize_to(amount % (2 * n + 5));
+                }
+            }
+            assert_in_lockstep(&sim, &reference, &format!("op {k} {:?}", ops[k]));
+        }
+    }
+
+    /// A random count vector of `width` states: mostly empty, with a dense
+    /// window somewhere, so draws cross block edges and skip empty blocks.
+    fn random_counts(width: usize, shape: u64) -> Vec<u64> {
+        let mut rng = SmallRng::seed_from_u64(shape);
+        let lo = rng.random_range(0..width as u64) as usize;
+        let hi = (lo + 1 + rng.random_range(0..40u64) as usize).min(width);
+        let mut counts = vec![0u64; width];
+        for c in &mut counts[lo..hi] {
+            *c = rng.random_range(0..30u64);
+        }
+        for _ in 0..rng.random_range(0..3u64) {
+            counts[rng.random_range(0..width as u64) as usize] += rng.random_range(1..5u64);
+        }
+        counts[lo] += 2;
+        counts
+    }
+
+    proptest::proptest! {
+        /// The block index, the responder draw without removal, the
+        /// net-delta apply and the alias mode together replay the
+        /// reference stepper exactly: same counts and same RNG word count
+        /// after every step batch and every mutation, on every fixture and
+        /// across block-edge widths.
+        #[test]
+        fn count_simulator_matches_the_reference_stepper(
+            width_ix in 0usize..8,
+            fixture in 0usize..6,
+            shape: u64,
+            seed: u64,
+            ops in proptest::collection::vec((0usize..6, 0u64..400, 0usize..512), 1..10),
+        ) {
+            let width = [1usize, 2, 31, 32, 33, 64, 300, 401][width_ix];
+            let counts = random_counts(width, shape);
+            match fixture {
+                0 => {
+                    let counts = vec![counts[0], counts[width - 1] + 1];
+                    check_against_reference(Or, counts, seed, &ops)
+                }
+                1 => check_against_reference(Drift(width), counts, seed, &ops),
+                2 => check_against_reference(Inert(width), counts, seed, &ops),
+                3 => check_against_reference(Countdown(width), counts, seed, &ops),
+                4 => check_against_reference(Mix(width, 4), counts, seed, &ops),
+                _ => check_against_reference(Mix(width, 128), counts, seed, &ops),
+            }
+        }
+    }
+
+    /// The reference-stepper check on a fixed wide scenario long enough to
+    /// move the occupied window across many blocks, with mutations between
+    /// rounds.
     #[test]
-    fn tree_and_linear_samplers_produce_identical_trajectories() {
+    fn block_index_and_reference_produce_identical_trajectories() {
         let mut counts = vec![0u64; DRIFT_STATES];
         counts[0] = 900;
         counts[7] = 50;
         counts[220] = 50;
-        let mut tree_sim = CountSimulator::from_counts(Drift, counts.clone(), 77);
-        let mut linear_sim = CountSimulator::from_counts(Drift, counts, 77);
-        linear_sim.prefix = None; // force the narrow-space path
-        for round in 0..20 {
-            tree_sim.step_n(200);
-            linear_sim.step_n(200);
-            assert_eq!(
-                tree_sim.counts(),
-                linear_sim.counts(),
-                "trajectories diverged in round {round}"
-            );
-            match round % 3 {
-                0 => {
-                    tree_sim.remove_uniform(40);
-                    linear_sim.remove_uniform(40);
-                }
-                1 => {
-                    tree_sim.add_agents(40);
-                    linear_sim.add_agents(40);
-                }
-                _ => {
-                    let c = tree_sim.count(5);
-                    tree_sim.set_count(5, c + 3);
-                    linear_sim.set_count(5, c + 3);
-                }
-            }
-            assert_eq!(tree_sim.counts(), linear_sim.counts());
-            assert_eq!(tree_sim.population(), linear_sim.population());
-        }
+        let ops: Vec<(usize, u64, usize)> = (0..20)
+            .flat_map(|round| [(0, 200, 0), (2 + round % 3, 40, 5)])
+            .collect();
+        check_against_reference(Drift(DRIFT_STATES), counts.clone(), 77, &ops);
+        counts.reverse();
+        check_against_reference(Countdown(DRIFT_STATES), counts, 78, &ops);
     }
 
-    /// The incremental tree updates must stay consistent with a fresh
-    /// rebuild after arbitrary mutations (including the survivor-branch
-    /// rebuild of a near-total removal).
+    /// The incremental block-index updates must stay consistent with a
+    /// fresh build after arbitrary mutations (including the
+    /// survivor-branch rebuild of a near-total removal).
     #[test]
-    fn prefix_tree_stays_consistent_with_counts() {
+    fn block_index_stays_consistent_with_a_fresh_build() {
         let mut counts = vec![0u64; DRIFT_STATES];
         counts[3] = 500;
         counts[100] = 500;
-        let mut sim = CountSimulator::from_counts(Drift, counts, 31);
+        let mut sim = CountSimulator::from_counts(Drift(DRIFT_STATES), counts, 31);
         sim.step_n(500);
+        assert_index_consistent(&sim.index);
         sim.remove_uniform(900); // survivor branch: rebuild
+        assert_index_consistent(&sim.index);
         sim.add_agents(25);
         sim.set_count(42, 17);
         sim.step_n(100);
-        let rebuilt = PrefixCounts::build(sim.counts());
+        assert_index_consistent(&sim.index);
+    }
+
+    /// Draws every offset of `index` and checks each against the linear
+    /// CDF inverse and the mass below it, then checks the index against a
+    /// fresh build.
+    fn assert_draws_match_the_cdf_inverse(index: &mut BlockCounts) {
+        let counts = index.counts.clone();
+        let total: u64 = counts.iter().sum();
+        let (mut state, mut below) = (0usize, 0u64);
+        for r in 0..total {
+            while r >= below + counts[state] {
+                below += counts[state];
+                state += 1;
+            }
+            assert_eq!(index.draw(r), (state, below), "offset {r} of {counts:?}");
+        }
+        assert_index_consistent(index);
+    }
+
+    /// The block walk at its edges, exhaustively over every offset of small
+    /// totals: mass only at the first or the last state, a window straddling
+    /// a block edge, the lowest states emptying (the lazy bound must climb
+    /// across empty blocks), an add below the bound, and the survivor-branch
+    /// rebuild.
+    #[test]
+    fn block_index_edge_cases_match_the_cdf_inverse() {
+        for width in [1usize, 2, 31, 32, 33, 64, 401] {
+            let mut first = vec![0u64; width];
+            first[0] = 7;
+            assert_draws_match_the_cdf_inverse(&mut BlockCounts::build(first));
+
+            let mut last = vec![0u64; width];
+            last[width - 1] = 7;
+            let mut index = BlockCounts::build(last);
+            index.lo = 0; // a stale bound: the draw must climb to the top
+            assert_draws_match_the_cdf_inverse(&mut index);
+            assert_eq!(index.lo, width - 1);
+        }
+
+        let mut straddle = vec![0u64; 96];
+        for (i, c) in straddle[28..37].iter_mut().enumerate() {
+            *c = i as u64 % 3 + 1;
+        }
+        assert_draws_match_the_cdf_inverse(&mut BlockCounts::build(straddle));
+
+        let mut counts = vec![0u64; 401];
+        counts[0] = 2;
+        counts[1] = 1;
+        counts[5] = 1;
+        counts[2 * BLOCK] = 3;
+        counts[200] = 2;
+        counts[400] = 1;
+        let mut index = BlockCounts::build(counts);
+        assert_draws_match_the_cdf_inverse(&mut index);
+        index.sub(0, 2);
+        index.sub(1, 1);
+        assert_eq!(index.lo, 0, "removals leave the bound where it was");
+        assert_draws_match_the_cdf_inverse(&mut index);
+        assert_eq!(index.lo, 5, "the draw raises the bound past empty states");
+        index.sub(5, 1);
+        assert_draws_match_the_cdf_inverse(&mut index);
         assert_eq!(
-            sim.prefix.as_ref().expect("wide space keeps a tree").tree,
-            rebuilt.tree
+            index.lo,
+            2 * BLOCK,
+            "the draw raises the bound past empty blocks, onto an occupied block start"
         );
+        index.sub(2 * BLOCK, 3);
+        assert_draws_match_the_cdf_inverse(&mut index);
+        assert_eq!(index.lo, 200);
+        index.add(5, 2);
+        assert_eq!(index.lo, 5, "an add below the bound lowers it eagerly");
+        assert_draws_match_the_cdf_inverse(&mut index);
+        index.shift(5, 399);
+        assert_draws_match_the_cdf_inverse(&mut index);
+
+        // Survivor-branch rebuild on a simulator whose window spans blocks.
+        let mut spread = vec![0u64; 401];
+        for c in &mut spread[20..80] {
+            *c = 3;
+        }
+        let mut sim = CountSimulator::from_counts(Inert(401), spread, 17);
+        sim.remove_uniform(170);
+        assert_eq!(sim.population(), 10);
+        assert_draws_match_the_cdf_inverse(&mut sim.index);
     }
 
     /// The bucket-jump table must compute the exact CDF inverse — for
     /// every offset, and for every offset of the one-removed distribution
     /// the responder draw samples — so alias-mode steps replay the same
-    /// trajectory as the scan and the tree.
+    /// trajectory as the block index.
     #[test]
     fn alias_index_matches_the_cdf_inverse_exhaustively() {
         let counts = vec![3u64, 0, 5, 1, 0, 2];
@@ -903,29 +1162,6 @@ mod tests {
         }
     }
 
-    /// A protocol whose transitions never change any count: the pure
-    /// static-distribution regime the alias table exists for.
-    #[derive(Clone)]
-    struct Inert;
-    impl Protocol for Inert {
-        type State = u16;
-        fn initial_state(&self) -> u16 {
-            0
-        }
-        fn interact<R: Rng + ?Sized>(&self, _u: &mut u16, _v: &mut u16, _: &mut R) {}
-    }
-    impl FiniteProtocol for Inert {
-        fn num_states(&self) -> usize {
-            DRIFT_STATES
-        }
-        fn state_index(&self, s: &u16) -> usize {
-            *s as usize
-        }
-        fn state_from_index(&self, i: usize) -> u16 {
-            i as u16
-        }
-    }
-
     fn spread_counts() -> Vec<u64> {
         let mut counts = vec![0u64; DRIFT_STATES];
         counts[0] = 500;
@@ -937,33 +1173,29 @@ mod tests {
 
     /// On a static wide-state distribution the alias table must engage
     /// (after the no-op streak threshold) and keep the trajectory
-    /// draw-for-draw identical to the forced linear scan.
+    /// draw-for-draw identical to the reference stepper.
     #[test]
-    fn alias_sampler_engages_and_matches_the_linear_trajectory() {
-        let mut alias_sim = CountSimulator::from_counts(Inert, spread_counts(), 55);
-        let mut linear_sim = CountSimulator::from_counts(Inert, spread_counts(), 55);
-        linear_sim.prefix = None; // force the narrow-space path (no alias either)
+    fn alias_sampler_engages_and_matches_the_reference_trajectory() {
+        let inert = Inert(DRIFT_STATES);
+        let mut alias_sim =
+            CountSimulator::from_counts_with_rng(inert, spread_counts(), CountingRng::seeded(55));
+        let mut reference = ReferenceStepper::new(inert, spread_counts(), 55);
         for round in 0..10 {
             alias_sim.step_n(200);
-            linear_sim.step_n(200);
-            assert_eq!(
-                alias_sim.counts(),
-                linear_sim.counts(),
-                "trajectories diverged in round {round}"
-            );
+            reference.step_n(200);
+            assert_in_lockstep(&alias_sim, &reference, &format!("round {round}"));
         }
         assert!(
             alias_sim.alias_clean && alias_sim.alias.is_some(),
             "a static distribution must have frozen into the alias table"
         );
-        assert!(linear_sim.alias.is_none());
         // A mutation invalidates the table; trajectories must stay equal.
         alias_sim.set_count(7, 40);
-        linear_sim.set_count(7, 40);
+        reference.set_count(7, 40);
         assert!(!alias_sim.alias_clean, "mutation must invalidate the table");
         alias_sim.step_n(500);
-        linear_sim.step_n(500);
-        assert_eq!(alias_sim.counts(), linear_sim.counts());
+        reference.step_n(500);
+        assert_in_lockstep(&alias_sim, &reference, "after the mutation");
         assert!(
             alias_sim.alias_clean,
             "the distribution is static again, so the table must have rebuilt"
@@ -973,12 +1205,15 @@ mod tests {
     /// Alias-mode steps keep the exact per-step randomness budget: one
     /// word per weighted draw, two per step — recorded traces stay valid
     /// whichever sampler the mutation pattern selects (the same guard the
-    /// linear and Fenwick modes carry above).
+    /// block index carries above).
     #[test]
     fn alias_path_consumes_exactly_two_rng_words_per_step() {
         let steps = 1_000u64;
-        let mut sim =
-            CountSimulator::from_counts_with_rng(Inert, spread_counts(), CountingRng::seeded(14));
+        let mut sim = CountSimulator::from_counts_with_rng(
+            Inert(DRIFT_STATES),
+            spread_counts(),
+            CountingRng::seeded(14),
+        );
         sim.step_n(steps);
         assert!(sim.alias_clean, "inert protocol must reach alias mode");
         assert_eq!(sim.rng().words, 2 * steps);
@@ -1063,8 +1298,8 @@ mod tests {
         // The batched backend's adversary schedules can crash the whole
         // population mid-run: keep == 0 takes the survivor branch with
         // zero draws and must leave every invariant (counts, bounds,
-        // prefix) consistent, not a half-updated husk.
-        let mut sim = CountSimulator::from_counts(Inert, spread_counts(), 61);
+        // block sums) consistent, not a half-updated husk.
+        let mut sim = CountSimulator::from_counts(Inert(DRIFT_STATES), spread_counts(), 61);
         let n = sim.population();
         sim.remove_uniform(n);
         assert_eq!(sim.population(), 0);
@@ -1094,21 +1329,18 @@ mod tests {
 
     #[test]
     fn mass_removal_shrinks_the_occupied_range_consistently() {
-        // Survivor-branch removal rebuilds counts from scratch; the
-        // occupied bound and the Fenwick prefix must both resync with the
-        // new (much sparser) configuration or later draws walk off the
-        // end of the old range.
-        let mut sim = CountSimulator::from_counts(Inert, spread_counts(), 63);
+        // Survivor-branch removal rebuilds counts from scratch; the block
+        // sums and the lower bound must both resync with the new (much
+        // sparser) configuration or later draws walk off the end of the
+        // old range.
+        let mut sim = CountSimulator::from_counts(Inert(DRIFT_STATES), spread_counts(), 63);
         let n = sim.population();
         sim.remove_uniform(n - 4); // survivor branch: keep 4 of 1000
         assert_eq!(sim.population(), 4);
         let survivors = sim.counts().to_vec();
         let top = survivors.iter().rposition(|&c| c > 0).unwrap();
         assert_eq!(sim.max_occupied(), Some(top), "bound must match counts");
-        assert!(
-            sim.prefix.is_some(),
-            "wide spaces keep the tree after removal"
-        );
+        assert_index_consistent(&sim.index);
         // Inert transitions never change counts, so any drift here means
         // the post-removal sampler state was inconsistent.
         sim.step_n(500);
@@ -1123,7 +1355,7 @@ mod tests {
         let mut counts = vec![0u64; DRIFT_STATES];
         counts[170] = 100;
         counts[3] = 100;
-        let mut sim = CountSimulator::from_counts(Inert, counts, 64);
+        let mut sim = CountSimulator::from_counts(Inert(DRIFT_STATES), counts, 64);
         sim.set_count(170, 0); // remove-to-zero of the top state mid-run
         assert_eq!(sim.population(), 100);
         assert_eq!(sim.max_occupied(), Some(3));
@@ -1137,7 +1369,7 @@ mod tests {
         // with every adversary resize shape: each mutation must invalidate
         // the table, and the table must re-freeze once the distribution is
         // static again — with the trajectory matching a never-frozen twin.
-        let mut sim = CountSimulator::from_counts(Inert, spread_counts(), 65);
+        let mut sim = CountSimulator::from_counts(Inert(DRIFT_STATES), spread_counts(), 65);
         sim.step_n(400); // rebuild threshold is max(64, #states) no-ops
         assert!(sim.alias_clean, "inert protocol must reach alias mode");
 

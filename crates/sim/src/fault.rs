@@ -35,8 +35,8 @@
 //!   state, so it lives in the protocol layer.
 
 use crate::backend::{
-    drive_schedule_guarded, reject_agent_features, validate_schedule, AgentDriver, Backend,
-    BackendError, CellSpec,
+    drive_schedule_guarded, reject_agent_features, validate_init_counts, validate_schedule,
+    AgentDriver, Backend, BackendError, CellSpec,
 };
 use crate::count_sim::CountSimulator;
 use crate::recording::Recording;
@@ -566,6 +566,7 @@ where
             });
         }
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
+        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
         let proto = protocol.clone();
         let mut frng = SmallRng::seed_from_u64(plan.run_rng_seed(spec.seed));
         let mut counts = match &spec.init_counts {
@@ -861,6 +862,44 @@ mod tests {
             .recovered_at(corrupted_at)
             .expect("population must re-enter the band");
         assert!(back > corrupted_at);
+    }
+
+    /// Runs a faulted count cell of 64 agents with `counts` as its init
+    /// counts.
+    fn faulted_with_counts(counts: Vec<u64>) -> Result<RunResult, BackendError> {
+        let none = AdversarySchedule::new();
+        let plan = FaultPlan::new(5).corrupt_random(0.5, 0.1).compile(64, 11);
+        let mut spec = spec(64, 2, 1.0, &none);
+        spec.init_counts = Some(counts);
+        CountSimulator::run_cell_faulted(MinHeal, &spec, &plan.unwrap(), &TrackedEstimates)
+    }
+
+    #[test]
+    fn faulted_count_backend_rejects_init_counts_of_the_wrong_length() {
+        assert_eq!(
+            faulted_with_counts(vec![64, 0]).unwrap_err(),
+            BackendError::InvalidInitCounts {
+                backend: "count",
+                states: 2,
+                expected_states: 4,
+                total: 64,
+                expected_n: 64,
+            }
+        );
+    }
+
+    #[test]
+    fn faulted_count_backend_rejects_init_counts_of_the_wrong_sum() {
+        assert_eq!(
+            faulted_with_counts(vec![60, 0, 0, 0]).unwrap_err(),
+            BackendError::InvalidInitCounts {
+                backend: "count",
+                states: 4,
+                expected_states: 4,
+                total: 60,
+                expected_n: 64,
+            }
+        );
     }
 
     #[test]

@@ -152,6 +152,50 @@ fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
         counted.cells, batched.cells,
         "below the exact threshold the batched backend must replay the count backend bit for bit"
     );
+
+    // A wide state space: bounded CHVP with m = 400 spans many blocks of
+    // the count backend's sampler index, while the batched exact stepper
+    // scans the full count vector through its probed delta table — an
+    // independent oracle for the wide path. Lemma 4.3 starts everyone at
+    // m; Lemma 4.4 starts one agent at m and the rest at 0. The crash
+    // schedule shrinks and regrows the population (fresh agents join at m).
+    let m = 400u32;
+    for lemma44 in [false, true] {
+        let sweep = || {
+            Sweep::new(BoundedChvp::new(m))
+                .populations([512, threshold])
+                .schedule("static", AdversarySchedule::new())
+                .schedule(
+                    "crash",
+                    AdversarySchedule::new()
+                        .at(3.0, PopulationEvent::ResizeTo(64))
+                        .at(6.0, PopulationEvent::ResizeTo(threshold)),
+                )
+                .runs(2)
+                .master_seed(62)
+                .horizon(10.0)
+                .init_counts(move |n| {
+                    let mut counts = vec![0u64; m as usize + 1];
+                    if lemma44 {
+                        counts[0] = n - 1;
+                        counts[m as usize] = 1;
+                    } else {
+                        counts[m as usize] = n;
+                    }
+                    counts
+                })
+        };
+        let counted = sweep()
+            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .unwrap();
+        let batched = sweep()
+            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .unwrap();
+        assert_eq!(
+            counted.cells, batched.cells,
+            "bounded CHVP (lemma 4.4 init: {lemma44}) diverged between the count and batched backends"
+        );
+    }
 }
 
 #[test]

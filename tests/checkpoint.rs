@@ -10,8 +10,9 @@
 
 use dynamic_size_counting::protocols::{BoundedChvp, Infection};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, BatchedCountSimulator, CellSpec, CheckpointError, CheckpointOutcome,
-    Checkpointable, CountSimulator, PopulationEvent, RunCheckpoint, RunResult, TrackedEstimates,
+    AdversarySchedule, BackendError, BatchedCountSimulator, CellSpec, CheckpointError,
+    CheckpointOutcome, Checkpointable, CountSimulator, PopulationEvent, RunCheckpoint, RunResult,
+    TrackedEstimates,
 };
 
 fn finished(outcome: CheckpointOutcome) -> RunResult {
@@ -177,6 +178,55 @@ fn a_resumed_run_can_pause_again() {
         .unwrap(),
     );
     assert_eq!(split, whole, "a three-leg split must still be exact");
+}
+
+/// The Infection spec with `counts` as its init counts, and the typed
+/// error `backend` must answer it with when the counts do not describe
+/// the spec's 2000 agents over Infection's two states.
+fn malformed_init_counts(
+    schedule: &AdversarySchedule,
+    counts: Vec<u64>,
+) -> CellSpec<'_, <Infection as dynamic_size_counting::model::Protocol>::State> {
+    let mut spec = infection_spec(schedule);
+    spec.init_counts = Some(counts);
+    spec
+}
+fn invalid_init_counts(backend: &'static str, states: usize, total: u64) -> BackendError {
+    BackendError::InvalidInitCounts {
+        backend,
+        states,
+        expected_states: 2,
+        total,
+        expected_n: 2_000,
+    }
+}
+
+#[test]
+fn checkpointed_runs_reject_init_counts_of_the_wrong_length() {
+    let none = AdversarySchedule::new();
+    let spec = malformed_init_counts(&none, vec![1_999, 1, 0]);
+    let count = CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0);
+    assert_eq!(count.unwrap_err(), invalid_init_counts("count", 3, 2_000));
+    let batched =
+        BatchedCountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0);
+    assert_eq!(
+        batched.unwrap_err(),
+        invalid_init_counts("batched-count", 3, 2_000)
+    );
+}
+
+#[test]
+fn checkpointed_runs_reject_init_counts_of_the_wrong_sum() {
+    let none = AdversarySchedule::new();
+    let spec = malformed_init_counts(&none, vec![999, 1]);
+    let count = CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0);
+    assert_eq!(count.unwrap_err(), invalid_init_counts("count", 2, 1_000));
+    let batched =
+        BatchedCountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0);
+    assert_eq!(
+        batched.unwrap_err(),
+        invalid_init_counts("batched-count", 2, 1_000)
+    );
 }
 
 #[test]
