@@ -355,29 +355,32 @@ pub(crate) fn validate_schedule<S>(
         .map_err(|error| BackendError::InvalidSchedule { backend, error })
 }
 
-/// Validates `spec`'s initial count vector, when it has one, against the
-/// protocol's `expected_states` and the cell's population, as
-/// [`BackendError::InvalidInitCounts`] tagged with the backend. Shared by
-/// every entry point that builds a count-based simulator from a spec, so a
-/// malformed vector is a typed error instead of a worker panic or a run of
-/// a different population.
-pub(crate) fn validate_init_counts<S>(
+/// The initial per-state counts of a count-based backend's cell: the
+/// spec's count vector, or `n` agents in the protocol's initial state.
+/// Shared by every entry point that builds a count-based simulator from a
+/// spec. A count vector must hold one count per protocol state and sum to
+/// the cell's population, or the cell fails with
+/// [`BackendError::InvalidInitCounts`] tagged with the backend, instead of
+/// a worker panic or a run of a different population.
+pub(crate) fn initial_counts<P: FiniteProtocol, S>(
     backend: &'static str,
+    protocol: &P,
     spec: &CellSpec<'_, S>,
-    expected_states: usize,
-) -> Result<(), BackendError> {
+) -> Result<Vec<u64>, BackendError> {
+    let expected_n = spec.n as u64;
     let Some(counts) = &spec.init_counts else {
-        return Ok(());
+        let mut fresh = vec![0u64; protocol.num_states()];
+        fresh[protocol.state_index(&protocol.initial_state())] = expected_n;
+        return Ok(fresh);
     };
     let total = counts.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
-    let expected_n = spec.n as u64;
-    if counts.len() == expected_states && total == expected_n {
-        return Ok(());
+    if counts.len() == protocol.num_states() && total == expected_n {
+        return Ok(counts.clone());
     }
     Err(BackendError::InvalidInitCounts {
         backend,
         states: counts.len(),
-        expected_states,
+        expected_states: protocol.num_states(),
         total,
         expected_n,
     })
@@ -739,54 +742,169 @@ where
     debug_assert_eq!(left, 0);
 }
 
-/// Adapts a [`CountSimulator`] plus a [`Recording`] plan to the shared
-/// schedule driver, so counted cells execute exactly the drive loop's
-/// boundary and event-ordering semantics.
-pub(crate) struct CountDriver<'a, P, R>
-where
-    P: FiniteProtocol + SizeEstimator,
-{
-    pub(crate) sim: &'a mut CountSimulator<P>,
-    pub(crate) _plan: PhantomData<R>,
+/// The two count backends: [`CountSimulator`] itself, and
+/// [`BatchedCountSimulator`], which owns one and adds only its batch
+/// tables. Counts, clocks, the generator and the adversary operations all
+/// live in the inner simulator, so one set of helpers — the drive adapter
+/// [`CountDriver`], [`run_count_cell`], [`drive_count_cell`] and the
+/// checkpoint run/resume — serves both.
+pub(crate) trait CountBacked: Backend<Protocol = <Self as CountBacked>::P> + Sized {
+    /// The protocol under simulation (the backend's `Protocol`).
+    type P: FiniteProtocol + SizeEstimator;
+    /// The backend's tag in the checkpoint format.
+    const TAG: u8;
+    /// Builds the backend around an exact count simulator, fresh or
+    /// restored from a checkpoint.
+    fn wrap(inner: CountSimulator<Self::P>) -> Self;
+    /// The exact count simulator.
+    fn inner(&self) -> &CountSimulator<Self::P>;
+    /// The exact count simulator, mutably (adversary operations, faults).
+    fn inner_mut(&mut self) -> &mut CountSimulator<Self::P>;
+    /// Advances by `duration` units of parallel time.
+    fn run_parallel_time(&mut self, duration: f64);
 }
 
-impl<P, R> DrivableSim for CountDriver<'_, P, R>
-where
-    P: FiniteProtocol + SizeEstimator,
-    R: Recording<P>,
-{
+impl<P: FiniteProtocol + SizeEstimator> CountBacked for CountSimulator<P> {
+    type P = P;
+    const TAG: u8 = crate::checkpoint::TAG_COUNT;
+    fn wrap(inner: CountSimulator<P>) -> Self {
+        inner
+    }
+    fn inner(&self) -> &CountSimulator<P> {
+        self
+    }
+    fn inner_mut(&mut self) -> &mut CountSimulator<P> {
+        self
+    }
+    fn run_parallel_time(&mut self, duration: f64) {
+        CountSimulator::run_parallel_time(self, duration);
+    }
+}
+
+impl<P: DeterministicProtocol + SizeEstimator> CountBacked for BatchedCountSimulator<P> {
+    type P = P;
+    const TAG: u8 = crate::checkpoint::TAG_BATCHED;
+    fn wrap(inner: CountSimulator<P>) -> Self {
+        BatchedCountSimulator::from_inner(inner)
+    }
+    fn inner(&self) -> &CountSimulator<P> {
+        &self.inner
+    }
+    fn inner_mut(&mut self) -> &mut CountSimulator<P> {
+        &mut self.inner
+    }
+    fn run_parallel_time(&mut self, duration: f64) {
+        BatchedCountSimulator::run_parallel_time(self, duration);
+    }
+}
+
+/// Adapts a count backend plus a [`Recording`] plan to the shared schedule
+/// driver, so counted cells execute exactly the drive loop's boundary and
+/// event-ordering semantics. Snapshot and event boundaries arrive as exact
+/// parallel-time spans, so batches never straddle a boundary.
+pub(crate) struct CountDriver<'a, S, R> {
+    sim: &'a mut S,
+    _plan: PhantomData<R>,
+}
+
+impl<'a, S, R> CountDriver<'a, S, R> {
+    pub(crate) fn new(sim: &'a mut S) -> Self {
+        CountDriver {
+            sim,
+            _plan: PhantomData,
+        }
+    }
+}
+
+impl<S: CountBacked, R: Recording<S::P>> DrivableSim for CountDriver<'_, S, R> {
     fn parallel_time(&self) -> f64 {
-        self.sim.parallel_time()
+        self.sim.inner().parallel_time()
     }
     fn interactions(&self) -> u64 {
-        self.sim.interactions()
+        self.sim.inner().interactions()
     }
     fn run_parallel_time(&mut self, duration: f64) {
         self.sim.run_parallel_time(duration);
     }
     fn apply_event(&mut self, event: PopulationEvent) {
+        let sim = self.sim.inner_mut();
         match event {
-            PopulationEvent::ResizeTo(target) => self.sim.resize_to(target as u64),
-            PopulationEvent::Add(count) => self.sim.add_agents(count as u64),
-            PopulationEvent::RemoveUniform(count) => self.sim.remove_uniform(count as u64),
+            PopulationEvent::ResizeTo(target) => sim.resize_to(target as u64),
+            PopulationEvent::Add(count) => sim.add_agents(count as u64),
+            PopulationEvent::RemoveUniform(count) => sim.remove_uniform(count as u64),
             PopulationEvent::RemoveLargestEstimates(count) => {
-                remove_largest_estimates(self.sim, count as u64)
+                remove_largest_estimates(sim, count as u64)
             }
         }
     }
     fn snapshot(&self) -> Snapshot {
+        let sim = self.sim.inner();
         Snapshot {
-            parallel_time: self.sim.parallel_time(),
-            interactions: self.sim.interactions(),
-            n: self.sim.population() as usize,
+            parallel_time: sim.parallel_time(),
+            interactions: sim.interactions(),
+            n: sim.population() as usize,
             estimates: if R::ESTIMATES {
-                summarize(self.sim.protocol(), self.sim.counts())
+                summarize(sim.protocol(), sim.counts())
             } else {
                 None
             },
             memory: None,
         }
     }
+}
+
+/// Validates a count-backed cell and builds its simulator: agent features
+/// are rejected, the schedule and the initial counts checked.
+pub(crate) fn start_count_cell<S: CountBacked, R: Recording<S::P>>(
+    protocol: S::P,
+    spec: &CellSpec<'_, S::State>,
+) -> Result<S, BackendError> {
+    reject_agent_features::<S::P, R, _>(S::NAME, spec)?;
+    validate_schedule(S::NAME, spec, S::SUPPORTS_EMPTY_POPULATION)?;
+    let counts = initial_counts(S::NAME, &protocol, spec)?;
+    Ok(S::wrap(CountSimulator::from_counts(
+        protocol, counts, spec.seed,
+    )))
+}
+
+/// Drives a count-backed cell to its horizon, firing `inject` on the exact
+/// simulator at each of the sorted `inject_times`, and packages its rows.
+pub(crate) fn drive_count_cell<S: CountBacked, R: Recording<S::P>>(
+    mut sim: S,
+    spec: &CellSpec<'_, S::State>,
+    inject_times: &[f64],
+    inject: &mut dyn FnMut(&mut CountSimulator<S::P>, usize),
+) -> Result<RunResult, BackendError> {
+    let snapshots = drive_schedule_guarded(
+        &mut CountDriver::<S, R>::new(&mut sim),
+        spec.horizon,
+        spec.snapshot_every,
+        spec.schedule,
+        spec.interaction_budget,
+        inject_times,
+        &mut |d, k| inject(d.sim.inner_mut(), k),
+    )
+    .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
+        backend: S::NAME,
+        interactions,
+        budget,
+    })?;
+    Ok(RunResult {
+        seed: spec.seed,
+        snapshots,
+        ticks: Vec::new(),
+        recovery: Vec::new(),
+        final_n: sim.inner().population() as usize,
+    })
+}
+
+/// The whole `run_cell` of a count backend.
+fn run_count_cell<S: CountBacked, R: Recording<S::P>>(
+    protocol: S::P,
+    spec: &CellSpec<'_, S::State>,
+) -> Result<RunResult, BackendError> {
+    let sim = start_count_cell::<S, R>(protocol, spec)?;
+    drive_count_cell::<S, R>(sim, spec, &[], &mut |_, _| {})
 }
 
 impl<P> Backend for CountSimulator<P>
@@ -802,133 +920,12 @@ where
     fn run_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
     ) -> Result<RunResult, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
-        let mut sim = match &spec.init_counts {
-            Some(counts) => CountSimulator::from_counts(protocol, counts.clone(), spec.seed),
-            None => CountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
-        };
-        let snapshots = drive_schedule_guarded(
-            &mut CountDriver::<P, R> {
-                sim: &mut sim,
-                _plan: PhantomData,
-            },
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            spec.interaction_budget,
-            &[],
-            &mut |_, _| {},
-        )
-        .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
-            backend: Self::NAME,
-            interactions,
-            budget,
-        })?;
-        let final_n = sim.population() as usize;
-        Ok(RunResult {
-            seed: spec.seed,
-            snapshots,
-            ticks: Vec::new(),
-            recovery: Vec::new(),
-            final_n,
-        })
-    }
-}
-
-/// The adversarial removal mode on the batched simulator's counts —
-/// the same highest-estimate-first semantics as
-/// [`remove_largest_estimates`] above, against the batched count store.
-fn remove_largest_estimates_batched<P>(sim: &mut BatchedCountSimulator<P>, count: u64)
-where
-    P: DeterministicProtocol + SizeEstimator,
-{
-    assert!(
-        count <= sim.population(),
-        "cannot remove {count} of {} agents",
-        sim.population()
-    );
-    let mut order: Vec<usize> = (0..sim.protocol().num_states()).collect();
-    order.sort_by(|&a, &b| {
-        let ea = sim
-            .protocol()
-            .estimate_log2(&sim.protocol().state_from_index(a));
-        let eb = sim
-            .protocol()
-            .estimate_log2(&sim.protocol().state_from_index(b));
-        eb.partial_cmp(&ea).expect("non-NaN estimates")
-    });
-    let mut left = count;
-    for idx in order {
-        if left == 0 {
-            break;
-        }
-        let have = sim.count(idx);
-        let take = have.min(left);
-        if take > 0 {
-            sim.set_count(idx, have - take);
-            left -= take;
-        }
-    }
-    debug_assert_eq!(left, 0);
-}
-
-/// Adapts a [`BatchedCountSimulator`] plus a [`Recording`] plan to the
-/// shared schedule driver. Snapshot and event boundaries arrive here as
-/// exact parallel-time spans, so batches never have to straddle a
-/// boundary — the batched clock stops at (or one interaction past) each
-/// one, same as the exact backends.
-pub(crate) struct BatchedDriver<'a, P, R>
-where
-    P: DeterministicProtocol + SizeEstimator,
-{
-    pub(crate) sim: &'a mut BatchedCountSimulator<P>,
-    pub(crate) _plan: PhantomData<R>,
-}
-
-impl<P, R> DrivableSim for BatchedDriver<'_, P, R>
-where
-    P: DeterministicProtocol + SizeEstimator,
-    R: Recording<P>,
-{
-    fn parallel_time(&self) -> f64 {
-        self.sim.parallel_time()
-    }
-    fn interactions(&self) -> u64 {
-        self.sim.interactions()
-    }
-    fn run_parallel_time(&mut self, duration: f64) {
-        self.sim.run_parallel_time(duration);
-    }
-    fn apply_event(&mut self, event: PopulationEvent) {
-        match event {
-            PopulationEvent::ResizeTo(target) => self.sim.resize_to(target as u64),
-            PopulationEvent::Add(count) => self.sim.add_agents(count as u64),
-            PopulationEvent::RemoveUniform(count) => self.sim.remove_uniform(count as u64),
-            PopulationEvent::RemoveLargestEstimates(count) => {
-                remove_largest_estimates_batched(self.sim, count as u64)
-            }
-        }
-    }
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            parallel_time: self.sim.parallel_time(),
-            interactions: self.sim.interactions(),
-            n: self.sim.population() as usize,
-            estimates: if R::ESTIMATES {
-                summarize(self.sim.protocol(), self.sim.counts())
-            } else {
-                None
-            },
-            memory: None,
-        }
+        run_count_cell::<Self, R>(protocol, spec)
     }
 }
 
@@ -945,44 +942,12 @@ where
     fn run_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
     ) -> Result<RunResult, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
-        let mut sim = match &spec.init_counts {
-            Some(counts) => BatchedCountSimulator::from_counts(protocol, counts.clone(), spec.seed),
-            None => BatchedCountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
-        };
-        let snapshots = drive_schedule_guarded(
-            &mut BatchedDriver::<P, R> {
-                sim: &mut sim,
-                _plan: PhantomData,
-            },
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            spec.interaction_budget,
-            &[],
-            &mut |_, _| {},
-        )
-        .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
-            backend: Self::NAME,
-            interactions,
-            budget,
-        })?;
-        let final_n = sim.population() as usize;
-        Ok(RunResult {
-            seed: spec.seed,
-            snapshots,
-            ticks: Vec::new(),
-            recovery: Vec::new(),
-            final_n,
-        })
+        run_count_cell::<Self, R>(protocol, spec)
     }
 }
 
@@ -1001,7 +966,8 @@ where
     /// Snapshot boundaries crossed inside a jump record the pre-jump
     /// configuration — exactly the configuration the model holds at that
     /// instant, since skipped interactions change nothing — with the
-    /// interaction count the boundary time implies (`t·n`).
+    /// interaction count the boundary time implies (`t·n`, or 0 below two
+    /// agents, like the other count backends).
     fn run_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
@@ -1017,13 +983,10 @@ where
             });
         }
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
+        let counts = initial_counts(Self::NAME, &protocol, spec)?;
         let n = spec.n as u64;
         let (seed, horizon, snapshot_every) = (spec.seed, spec.horizon, spec.snapshot_every);
-        let mut sim = match &spec.init_counts {
-            Some(counts) => JumpSimulator::from_counts(protocol, counts.clone(), seed),
-            None => JumpSimulator::with_seed(protocol, n, seed),
-        };
+        let mut sim = JumpSimulator::from_counts(protocol, counts, seed);
         let snap = |t: f64, interactions: u64, counts: &[u64], p: &P| Snapshot {
             parallel_time: t,
             interactions,
@@ -1041,8 +1004,10 @@ where
             snapshots.push(snap(0.0, 0, c, p));
         }
         let mut next_snapshot = snapshot_every;
+        let mut before = Vec::with_capacity(sim.counts().len());
         while sim.parallel_time() < horizon {
-            let before = sim.counts().to_vec();
+            before.clear();
+            before.extend_from_slice(sim.counts());
             let advanced = sim.step_event();
             // The jump chain skips no-op interactions in closed form, so the
             // watchdog meters the interactions the clock *implies* (t·n) —
@@ -1063,9 +1028,15 @@ where
                 horizon
             };
             // Fill every grid point the jump (or quiescence) carried us
-            // past with the configuration that was current during that span.
+            // past with the configuration that was current during that span
+            // and the interactions its time implies — none below two agents,
+            // where no pair exists.
             while next_snapshot <= now.min(horizon) + 1e-12 {
-                let implied = (next_snapshot * n as f64).round() as u64;
+                let implied = if n < 2 {
+                    0
+                } else {
+                    (next_snapshot * n as f64).round() as u64
+                };
                 snapshots.push(snap(next_snapshot, implied, &before, sim.protocol()));
                 next_snapshot += snapshot_every;
             }
@@ -1203,6 +1174,29 @@ mod tests {
             r.snapshots[0].estimates.is_none()
                 || r.snapshots[0].estimates.unwrap().without_estimate > 0
         );
+    }
+
+    #[test]
+    fn count_backends_agree_on_populations_below_two() {
+        // No pair exists below two agents: every count backend fills the
+        // grid with the same rows, and no interaction ever happens.
+        let none = AdversarySchedule::new();
+        for n in [0usize, 1] {
+            for init_counts in [None, Some(vec![0, n as u64])] {
+                let mut cell = spec(n, 3, 3.0, &none);
+                cell.init_counts = init_counts;
+                let counted = CountSimulator::run_cell(Or, &cell, &TrackedEstimates).unwrap();
+                assert_eq!(counted.snapshots.len(), 4, "n = {n}");
+                assert!(counted
+                    .snapshots
+                    .iter()
+                    .all(|s| s.interactions == 0 && s.n == n));
+                let batched = BatchedCountSimulator::run_cell(Or, &cell, &TrackedEstimates);
+                let jumped = JumpSimulator::run_cell(Or, &cell, &TrackedEstimates);
+                assert_eq!(batched.unwrap(), counted, "batched, n = {n}");
+                assert_eq!(jumped.unwrap(), counted, "jump, n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! # Accuracy contract
 //!
 //! Batched runs are **distribution-level approximations**, not
-//! trajectory-identical replays of [`CountSimulator`](crate::CountSimulator):
+//! trajectory-identical replays of [`CountSimulator`]:
 //!
 //! * Within a batch the pair probabilities are frozen at the batch's
 //!   opening counts. The batch size is bounded so that no state's count is
@@ -39,14 +39,19 @@
 //!
 //! # Exact fallback
 //!
+//! The simulator owns a [`CountSimulator`], which holds the counts, the
+//! clocks and the generator; beside it live only the batch tables.
 //! Populations of at most [`EXACT_POPULATION_THRESHOLD`] agents, and any
 //! regime where the leap condition caps the batch below [`MIN_BATCH`]
-//! interactions, are stepped *exactly*, with the same two
-//! `random_range` words per interaction and the same CDF-inverse
-//! draw-to-state mapping as [`CountSimulator`](crate::CountSimulator). A batched run that stays
-//! under the threshold is therefore **trajectory-identical** to the count
-//! backend with the same seed (pinned by integration tests); crossing the
-//! threshold switches to batches and the identity intentionally ends.
+//! interactions, are stepped *exactly* by that inner simulator, and the
+//! adversary operations and checkpoint restores go through it too. A
+//! batched run that stays under the threshold is therefore
+//! **trajectory-identical** to the count backend with the same seed
+//! (pinned by integration tests); crossing the threshold switches to
+//! batches and the identity intentionally ends. The exact steps call the
+//! protocol's `interact` with the shared generator; a
+//! [`DeterministicProtocol`] promises not to draw from it, so the batches
+//! see the same random words either way.
 //!
 //! Snapshot and adversary-event boundaries always terminate a batch: the
 //! driver hands this simulator exact parallel-time spans, and a batch
@@ -54,13 +59,15 @@
 //! interaction conversion — the same ≤ 1 interaction overshoot the exact
 //! backends have.
 
-use pp_model::{DeterministicProtocol, FiniteProtocol};
+use crate::count_sim::CountSimulator;
+use crate::jump_sim::Transition;
+use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, RngExt};
 
 /// Populations at or below this size are always stepped exactly — batching
 /// only pays off when a batch amortizes over many interactions, and exact
-/// stepping keeps small runs trajectory-identical to [`CountSimulator`](crate::CountSimulator).
+/// stepping keeps small runs trajectory-identical to [`CountSimulator`].
 pub const EXACT_POPULATION_THRESHOLD: u64 = 4096;
 
 /// Smallest batch worth sampling; when the leap condition caps the batch
@@ -108,16 +115,10 @@ pub const BATCH_FRACTION: f64 = 1.0 / 32.0;
 /// ```
 #[derive(Debug)]
 pub struct BatchedCountSimulator<P: DeterministicProtocol, R: Rng = SmallRng> {
-    protocol: P,
-    counts: Vec<u64>,
-    n: u64,
-    rng: R,
-    interactions: u64,
-    parallel_time: f64,
-    /// `delta[si * S + sj]` = indices after `(si, sj)` interact.
-    delta: Vec<(usize, usize)>,
-    /// Pairs `(si, sj)` with `delta != identity`, with each pair's net
-    /// per-state count changes (at most four `(state, net)` entries).
+    /// The exact simulator: counts, clocks and generator, exact steps and
+    /// adversary operations.
+    pub(crate) inner: CountSimulator<P, R>,
+    /// State-changing pairs with each pair's net per-state count changes.
     active: Vec<ActivePair>,
     /// Per-state net-delta scratch, reused across batches.
     scratch: Vec<i64>,
@@ -126,8 +127,7 @@ pub struct BatchedCountSimulator<P: DeterministicProtocol, R: Rng = SmallRng> {
 /// One state-changing ordered pair and its net effect on the counts.
 #[derive(Debug, Clone)]
 struct ActivePair {
-    si: usize,
-    sj: usize,
+    pair: Transition,
     /// Net count change per touched state (inputs −1 each, outputs +1
     /// each, merged; zero entries dropped).
     net: Vec<(usize, i64)>,
@@ -141,17 +141,12 @@ impl<P: DeterministicProtocol> BatchedCountSimulator<P, SmallRng> {
     /// Panics if `counts.len() != num_states()`, or if probing detects a
     /// non-deterministic transition.
     pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
-        Self::from_counts_with_rng(protocol, counts, SmallRng::seed_from_u64(seed))
+        Self::from_inner(CountSimulator::from_counts(protocol, counts, seed))
     }
 
     /// Creates a simulator of `n` agents in the protocol's initial state.
     pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
-        let mut counts = vec![0u64; protocol.num_states()];
-        if n > 0 {
-            let init = protocol.state_index(&protocol.initial_state());
-            counts[init] = n;
-        }
-        Self::from_counts(protocol, counts, seed)
+        Self::from_inner(CountSimulator::with_seed(protocol, n, seed))
     }
 }
 
@@ -164,182 +159,99 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// Panics if `counts.len() != num_states()`, or if probing detects a
     /// non-deterministic transition.
     pub fn from_counts_with_rng(protocol: P, counts: Vec<u64>, rng: R) -> Self {
-        let s = protocol.num_states();
-        assert_eq!(counts.len(), s, "counts must cover every state");
-        let mut delta = Vec::with_capacity(s * s);
-        let mut active = Vec::new();
-        // Double-probe with two independent fixed-seed generators: a
-        // transition that consults the RNG for its *output* would disagree
-        // between the probes (same guard as the jump simulator).
-        let mut probe_rng_a = SmallRng::seed_from_u64(0xDEAD);
-        let mut probe_rng_b = SmallRng::seed_from_u64(0xBEEF);
-        for si in 0..s {
-            for sj in 0..s {
-                let out_a = probe(&protocol, si, sj, &mut probe_rng_a);
-                let out_b = probe(&protocol, si, sj, &mut probe_rng_b);
-                assert_eq!(out_a, out_b, "transition ({si}, {sj}) is not deterministic");
-                if out_a != (si, sj) {
-                    let (oi, oj) = out_a;
-                    let mut net: Vec<(usize, i64)> = Vec::with_capacity(4);
-                    for (state, d) in [(si, -1i64), (sj, -1), (oi, 1), (oj, 1)] {
-                        match net.iter_mut().find(|(s, _)| *s == state) {
-                            Some((_, acc)) => *acc += d,
-                            None => net.push((state, d)),
-                        }
-                    }
-                    net.retain(|&(_, d)| d != 0);
-                    active.push(ActivePair { si, sj, net });
-                }
-                delta.push(out_a);
-            }
-        }
-        let n = counts.iter().sum();
-        BatchedCountSimulator {
-            protocol,
-            counts,
-            n,
-            rng,
-            interactions: 0,
-            parallel_time: 0.0,
-            delta,
-            active,
-            scratch: vec![0i64; s],
-        }
+        Self::from_inner(CountSimulator::from_counts_with_rng(protocol, counts, rng))
     }
 
-    /// Rebuilds a simulator from checkpointed state: per-state counts, the
-    /// generator mid-stream, and the clocks.
-    ///
-    /// Only the five arguments are serialized. The transition table
-    /// (`delta`/`active`) rebuilds by the same fixed-seed double-probe the
-    /// fresh constructors use, so it is identical for a given protocol, and
-    /// a restored simulator draws the same batches the uninterrupted run
-    /// would — exact below [`EXACT_POPULATION_THRESHOLD`], tau-leaping
-    /// above, in both regimes bit-identical to not having paused.
+    /// Builds the batch tables around an exact simulator, fresh or
+    /// restored from a checkpoint. The tables come from the same
+    /// fixed-seed double probe for a given protocol, so a restored
+    /// simulator draws the batches the uninterrupted run would.
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != num_states()`, or if probing detects a
-    /// non-deterministic transition.
-    pub fn restore(
-        protocol: P,
-        counts: Vec<u64>,
-        rng: R,
-        interactions: u64,
-        parallel_time: f64,
-    ) -> Self {
-        let mut sim = Self::from_counts_with_rng(protocol, counts, rng);
-        sim.interactions = interactions;
-        sim.parallel_time = parallel_time;
-        sim
+    /// Panics if probing detects a non-deterministic transition.
+    pub(crate) fn from_inner(inner: CountSimulator<P, R>) -> Self {
+        let active = Transition::probe_all(inner.protocol())
+            .into_iter()
+            .map(|pair| {
+                let mut net: Vec<(usize, i64)> = Vec::with_capacity(4);
+                for (state, d) in [(pair.si, -1i64), (pair.sj, -1), (pair.oi, 1), (pair.oj, 1)] {
+                    match net.iter_mut().find(|(s, _)| *s == state) {
+                        Some((_, acc)) => *acc += d,
+                        None => net.push((state, d)),
+                    }
+                }
+                net.retain(|&(_, d)| d != 0);
+                ActivePair { pair, net }
+            })
+            .collect();
+        let scratch = vec![0i64; inner.counts().len()];
+        BatchedCountSimulator {
+            inner,
+            active,
+            scratch,
+        }
     }
 
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
-        &self.protocol
+        self.inner.protocol()
     }
 
     /// Population size.
     pub fn population(&self) -> u64 {
-        self.n
+        self.inner.population()
     }
 
     /// Interactions simulated so far (batched spans included).
     pub fn interactions(&self) -> u64 {
-        self.interactions
+        self.inner.interactions()
     }
 
     /// Parallel time elapsed.
     pub fn parallel_time(&self) -> f64 {
-        self.parallel_time
+        self.inner.parallel_time()
     }
 
     /// Count of agents in the state with index `i`.
     pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
+        self.inner.count(i)
     }
 
     /// All per-state counts.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        self.inner.counts()
     }
 
     /// The simulator's generator (read-only; instrumented RNGs injected
     /// via [`BatchedCountSimulator::from_counts_with_rng`] expose their
     /// counters here).
     pub fn rng(&self) -> &R {
-        &self.rng
-    }
-
-    /// Weight (ordered-pair count) of one active pair, in u128: at
-    /// n = 10⁹ a single product is ~10¹⁸ and the total `n(n−1)` exceeds
-    /// u64 beyond n = 2³².
-    #[inline]
-    fn pair_weight(&self, pair: &ActivePair) -> u128 {
-        let same = u64::from(pair.si == pair.sj);
-        u128::from(self.counts[pair.si]) * u128::from(self.counts[pair.sj].saturating_sub(same))
-    }
-
-    /// Draws a state index weighted by the current counts, given their
-    /// total — one RNG word, the same CDF-inverse mapping as
-    /// [`CountSimulator`](crate::CountSimulator)'s samplers.
-    #[inline]
-    fn sample_state(&mut self, total: u64) -> usize {
-        debug_assert!(total > 0);
-        let mut r = self.rng.random_range(0..total);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if r < c {
-                return i;
-            }
-            r -= c;
-        }
-        unreachable!("counts changed during sampling");
-    }
-
-    /// Simulates one interaction exactly — the same two `random_range`
-    /// words and draw-to-state mapping as [`CountSimulator::step`](crate::CountSimulator::step), so
-    /// below-threshold batched runs replay the count backend's trajectory
-    /// bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population has fewer than two agents.
-    pub fn step(&mut self) {
-        assert!(self.n >= 2, "an interaction needs at least two agents");
-        let si = self.sample_state(self.n);
-        self.counts[si] -= 1;
-        let sj = self.sample_state(self.n - 1);
-        self.counts[sj] -= 1;
-        let s = self.protocol.num_states();
-        let (oi, oj) = self.delta[si * s + sj];
-        self.counts[oi] += 1;
-        self.counts[oj] += 1;
-        self.interactions += 1;
-        self.parallel_time += 1.0 / self.n as f64;
+        self.inner.rng()
     }
 
     /// Upper batch size satisfying the leap condition at the current
     /// counts, given the interactions remaining to the caller's boundary.
     /// Returns the batch size and the total active-pair weight.
     fn plan_batch(&self, remaining: u64) -> (u64, u128) {
-        let t = u128::from(self.n) * u128::from(self.n - 1);
-        let t_f = t as f64;
+        let (n, counts) = (self.inner.population(), self.inner.counts());
+        let t_f = (u128::from(n) * u128::from(n - 1)) as f64;
         // Global drift bound: at most a BATCH_FRACTION of the population's
         // worth of interactions per batch.
-        let mut k = remaining.min(((self.n as f64) * BATCH_FRACTION).max(MIN_BATCH as f64) as u64);
+        let mut k = remaining.min(((n as f64) * BATCH_FRACTION).max(MIN_BATCH as f64) as u64);
         let mut total_w: u128 = 0;
         // Per-state drift bound: expected net decrements of state s in k
         // trials are k·D_s/T; require that to stay under
         // max(1, BATCH_FRACTION·c_s).
-        let mut dec = vec![0.0f64; self.counts.len()];
-        for pair in &self.active {
-            let w = self.pair_weight(pair);
+        let mut dec = vec![0.0f64; counts.len()];
+        for active in &self.active {
+            let w = active.pair.weight(counts);
             if w == 0 {
                 continue;
             }
             total_w += w;
             let w_f = w as f64;
-            for &(state, d) in &pair.net {
+            for &(state, d) in &active.net {
                 if d < 0 {
                     dec[state] += (-d) as f64 * w_f;
                 }
@@ -347,7 +259,7 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         }
         for (state, &d) in dec.iter().enumerate() {
             if d > 0.0 {
-                let budget = (BATCH_FRACTION * self.counts[state] as f64).max(1.0);
+                let budget = (BATCH_FRACTION * counts[state] as f64).max(1.0);
                 let cap = budget * t_f / d;
                 if cap < k as f64 {
                     k = (cap as u64).max(1);
@@ -362,51 +274,36 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// (leaving the counts untouched) when the sampled batch would drive a
     /// count negative — the caller then shrinks `k`.
     fn try_batch(&mut self, k: u64) -> bool {
-        let t = u128::from(self.n) * u128::from(self.n - 1);
+        let n = self.inner.population();
         let mut k_rem = k;
         // Remaining mass includes the implicit no-op pairs; whatever is
         // left of `k` after all active pairs is a no-op run.
-        let mut t_rem = t;
+        let mut t_rem = u128::from(n) * u128::from(n - 1);
         self.scratch.fill(0);
-        for pi in 0..self.active.len() {
+        for active in &self.active {
             if k_rem == 0 {
                 break;
             }
-            let w = self.pair_weight(&self.active[pi]);
+            let w = active.pair.weight(self.inner.counts());
             if w == 0 {
                 continue;
             }
             let p = (w as f64 / t_rem as f64).min(1.0);
-            let m = sample_binomial(&mut self.rng, k_rem, p);
+            let m = sample_binomial(self.inner.rng_mut(), k_rem, p);
             t_rem -= w;
             k_rem -= m;
             if m > 0 {
-                for &(state, d) in &self.active[pi].net {
+                for &(state, d) in &active.net {
                     self.scratch[state] += d * m as i64;
                 }
             }
         }
-        for (state, &d) in self.scratch.iter().enumerate() {
-            if d < 0 && self.counts[state] < d.unsigned_abs() {
-                return false;
-            }
+        let counts = self.inner.counts();
+        if (self.scratch.iter().zip(counts)).any(|(&d, &c)| d < 0 && c < d.unsigned_abs()) {
+            return false;
         }
-        for (state, &d) in self.scratch.iter().enumerate() {
-            if d >= 0 {
-                self.counts[state] += d as u64;
-            } else {
-                self.counts[state] -= d.unsigned_abs();
-            }
-        }
-        self.advance_clock(k);
+        self.inner.apply_batch(&self.scratch, k);
         true
-    }
-
-    /// Books `k` interactions onto the clock.
-    #[inline]
-    fn advance_clock(&mut self, k: u64) {
-        self.interactions = self.interactions.saturating_add(k);
-        self.parallel_time += k as f64 / self.n as f64;
     }
 
     /// Runs for `duration` units of parallel time, batching where the leap
@@ -415,19 +312,19 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// With a population of fewer than two agents, time passes without
     /// interactions (matching the other backends' convention).
     pub fn run_parallel_time(&mut self, duration: f64) {
-        let target = self.parallel_time + duration;
-        if self.n < 2 {
-            self.parallel_time = target;
+        // Batches conserve the population, so the regime holds for the
+        // whole span; small populations (and those below two agents) run
+        // on the exact simulator alone.
+        let n = self.inner.population();
+        if n <= EXACT_POPULATION_THRESHOLD {
+            self.inner.run_parallel_time(duration);
             return;
         }
-        while self.parallel_time < target {
-            if self.n <= EXACT_POPULATION_THRESHOLD {
-                self.step();
-                continue;
-            }
+        let target = self.inner.parallel_time() + duration;
+        while self.inner.parallel_time() < target {
             // Interactions to the boundary; < 2^53 at any feasible n ×
             // horizon, so the f64 product is exact enough for a ceiling.
-            let remaining = (((target - self.parallel_time) * self.n as f64).ceil()).max(1.0);
+            let remaining = (((target - self.inner.parallel_time()) * n as f64).ceil()).max(1.0);
             let remaining = if remaining >= u64::MAX as f64 {
                 u64::MAX
             } else {
@@ -437,12 +334,12 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
             if total_w == 0 {
                 // Quiescent: every remaining interaction is a no-op; jump
                 // the whole span in one bookkeeping update (no RNG).
-                self.advance_clock(remaining);
+                self.inner.apply_batch(&[], remaining);
                 continue;
             }
             loop {
                 if k < MIN_BATCH {
-                    self.step();
+                    self.inner.step();
                     break;
                 }
                 if self.try_batch(k) {
@@ -453,79 +350,6 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
             }
         }
     }
-
-    /// Adds `count` agents in the protocol's initial state (the dynamic
-    /// adversary's *add*). Mirrors [`CountSimulator::add_agents`](crate::CountSimulator::add_agents).
-    pub fn add_agents(&mut self, count: u64) {
-        let init = self.protocol.state_index(&self.protocol.initial_state());
-        self.counts[init] += count;
-        self.n += count;
-    }
-
-    /// Removes `count` agents chosen uniformly at random. Word-for-word
-    /// the same draws as [`CountSimulator::remove_uniform`](crate::CountSimulator::remove_uniform) (including the
-    /// survivor-sampling branch for near-total removals), so exact-regime
-    /// trajectories stay aligned across adversary events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds the population size.
-    pub fn remove_uniform(&mut self, count: u64) {
-        assert!(
-            count <= self.n,
-            "cannot remove {count} of {} agents",
-            self.n
-        );
-        let keep = self.n - count;
-        if count <= keep {
-            for _ in 0..count {
-                let si = self.sample_state(self.n);
-                self.counts[si] -= 1;
-                self.n -= 1;
-            }
-        } else {
-            let mut survivors = vec![0u64; self.counts.len()];
-            for _ in 0..keep {
-                let si = self.sample_state(self.n);
-                self.counts[si] -= 1;
-                self.n -= 1;
-                survivors[si] += 1;
-            }
-            self.counts = survivors;
-            self.n = keep;
-        }
-    }
-
-    /// Overwrites the count of state `i` (population setup / targeted
-    /// removal). Mirrors [`CountSimulator::set_count`](crate::CountSimulator::set_count).
-    pub fn set_count(&mut self, i: usize, count: u64) {
-        let old = self.counts[i];
-        self.n = self.n - old + count;
-        self.counts[i] = count;
-    }
-
-    /// Resizes the population to `target`: grows with fresh agents or
-    /// shrinks by uniform removal.
-    pub fn resize_to(&mut self, target: u64) {
-        if target > self.n {
-            self.add_agents(target - self.n);
-        } else {
-            self.remove_uniform(self.n - target);
-        }
-    }
-}
-
-/// One probed transition, by state index.
-fn probe<P: FiniteProtocol>(
-    protocol: &P,
-    si: usize,
-    sj: usize,
-    rng: &mut impl Rng,
-) -> (usize, usize) {
-    let mut u = protocol.state_from_index(si);
-    let mut v = protocol.state_from_index(sj);
-    protocol.interact(&mut u, &mut v, rng);
-    (protocol.state_index(&u), protocol.state_index(&v))
 }
 
 /// Samples `Binomial(k, p)`.
@@ -586,8 +410,8 @@ fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, k: u64, p: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::count_sim::CountSimulator;
-    use pp_model::Protocol;
+    use pp_model::{FiniteProtocol, Protocol};
+    use rand::SeedableRng;
 
     /// Binary OR-infection fixture (deterministic).
     struct Or;
@@ -694,22 +518,6 @@ mod tests {
         assert_eq!(batched.counts(), exact.counts());
         assert_eq!(batched.interactions(), exact.interactions());
         assert_eq!(batched.parallel_time(), exact.parallel_time());
-    }
-
-    #[test]
-    fn adversary_ops_mirror_count_simulator_semantics() {
-        let mut sim = BatchedCountSimulator::from_counts(Or, vec![60, 40], 13);
-        sim.remove_uniform(30);
-        assert_eq!(sim.population(), 70);
-        sim.remove_uniform(60); // survivor branch
-        assert_eq!(sim.population(), 10);
-        assert_eq!(sim.counts().iter().sum::<u64>(), 10);
-        sim.add_agents(5);
-        assert_eq!(sim.population(), 15);
-        sim.resize_to(40);
-        assert_eq!(sim.population(), 40);
-        sim.set_count(1, 0);
-        assert_eq!(sim.population(), sim.count(0));
     }
 
     #[test]

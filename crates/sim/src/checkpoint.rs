@@ -18,9 +18,11 @@
 //! never mid-span. A resumed run re-enters the loop at exactly that
 //! boundary with the same cursor, clocks, counts, and RNG words, so every
 //! subsequent float target, step count, and RNG draw matches the
-//! uninterrupted run. Derived sampler state deliberately isn't serialized:
-//! it rebuilds from the counts (see [`CountSimulator::restore`] /
-//! [`BatchedCountSimulator::restore`] for why that is trajectory-neutral).
+//! uninterrupted run. Derived state deliberately isn't serialized: both
+//! backends restore through [`CountSimulator::restore`], whose block index
+//! rebuilds from the counts (see there for why that is trajectory-neutral),
+//! and the batched backend re-probes its batch tables from the protocol,
+//! which yields the same tables for the same protocol.
 //!
 //! # File contract (version 1)
 //!
@@ -72,8 +74,8 @@
 //! ```
 
 use crate::backend::{
-    drive_schedule_from, reject_agent_features, validate_init_counts, validate_schedule, Backend,
-    BackendError, BatchedDriver, CellSpec, CountDriver, DriveCursor,
+    drive_schedule_from, start_count_cell, Backend, BackendError, CellSpec, CountBacked,
+    CountDriver, DriveCursor,
 };
 use crate::batched_sim::BatchedCountSimulator;
 use crate::count_sim::CountSimulator;
@@ -82,15 +84,14 @@ use crate::series::{EstimateSummary, MemorySummary, RunResult, Snapshot};
 use pp_model::{DeterministicProtocol, FiniteProtocol, SizeEstimator};
 use rand::rngs::SmallRng;
 use std::fmt;
-use std::marker::PhantomData;
 use std::path::Path;
 
 /// Current on-disk format version; readers reject any other.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 const MAGIC: [u8; 8] = *b"DSC-CKPT";
-const TAG_COUNT: u8 = 1;
-const TAG_BATCHED: u8 = 2;
+pub(crate) const TAG_COUNT: u8 = 1;
+pub(crate) const TAG_BATCHED: u8 = 2;
 
 /// Why a checkpoint could not be written, read, or resumed.
 #[derive(Debug)]
@@ -564,41 +565,84 @@ pub trait Checkpointable: Backend {
         R: Recording<Self::Protocol>;
 }
 
-/// The shared tail of both drivers: package either a finished
-/// [`RunResult`] or a [`RunCheckpoint`] out of the post-drive state.
-#[allow(clippy::too_many_arguments)]
-fn outcome<S>(
-    finished: bool,
-    tag: u8,
-    spec: &CellSpec<'_, S>,
-    cursor: DriveCursor,
-    counts: Vec<u64>,
-    rng_state: [u64; 4],
-    interactions: u64,
-    parallel_time: f64,
-    final_n: usize,
+/// Runs a count-backed cell from the start, pausing at `stop_after`.
+fn run_until<S: CountBacked, R: Recording<S::P>>(
+    protocol: S::P,
+    spec: &CellSpec<'_, S::State>,
+    stop_after: f64,
+) -> Result<CheckpointOutcome, BackendError> {
+    let mut sim = start_count_cell::<S, R>(protocol, spec)?;
+    let cursor = DriveCursor::fresh(
+        &mut CountDriver::<S, R>::new(&mut sim),
+        spec.horizon,
+        spec.snapshot_every,
+        spec.schedule,
+    );
+    Ok(drive_until::<S, R>(sim, cursor, spec, stop_after))
+}
+
+/// Resumes a paused count-backed cell, pausing again at `stop_after`.
+fn resume<S: CountBacked, R: Recording<S::P>>(
+    protocol: S::P,
+    spec: &CellSpec<'_, S::State>,
+    checkpoint: &RunCheckpoint,
+    stop_after: f64,
+) -> Result<CheckpointOutcome, CheckpointError> {
+    checkpoint.check_spec(S::TAG, S::NAME, protocol.num_states(), spec)?;
+    let sim = S::wrap(CountSimulator::restore(
+        protocol,
+        checkpoint.counts.clone(),
+        SmallRng::from_state(checkpoint.rng_state),
+        checkpoint.interactions,
+        checkpoint.parallel_time,
+    ));
+    let cursor = DriveCursor::resumed(
+        checkpoint.next_event as usize,
+        checkpoint.next_snapshot,
+        checkpoint.snapshots.clone(),
+    );
+    Ok(drive_until::<S, R>(sim, cursor, spec, stop_after))
+}
+
+/// The shared tail of both drivers: drives from `cursor` to the horizon or
+/// the pause, then packages either a finished [`RunResult`] or a
+/// [`RunCheckpoint`] out of the post-drive state.
+fn drive_until<S: CountBacked, R: Recording<S::P>>(
+    mut sim: S,
+    mut cursor: DriveCursor,
+    spec: &CellSpec<'_, S::State>,
+    stop_after: f64,
 ) -> CheckpointOutcome {
+    let finished = drive_schedule_from(
+        &mut CountDriver::<S, R>::new(&mut sim),
+        &mut cursor,
+        spec.horizon,
+        spec.snapshot_every,
+        spec.schedule,
+        stop_after,
+    );
+    let sim = sim.inner();
     if finished {
         CheckpointOutcome::Finished(RunResult {
             seed: spec.seed,
             snapshots: cursor.snapshots,
             ticks: Vec::new(),
             recovery: Vec::new(),
-            final_n,
+            final_n: sim.population() as usize,
         })
     } else {
         CheckpointOutcome::Paused(RunCheckpoint {
-            backend_tag: tag,
+            backend_tag: S::TAG,
             seed: spec.seed,
-            rng_state,
-            interactions,
-            parallel_time,
+            rng_state: sim.rng().state(),
+            interactions: sim.interactions(),
+            parallel_time: sim.parallel_time(),
             next_event: cursor.next_event as u64,
             next_snapshot: cursor.next_snapshot,
             horizon: spec.horizon,
             snapshot_every: spec.snapshot_every,
             schedule_digest: schedule_digest(spec.schedule),
-            counts,
+            counts: sim.counts().to_vec(),
             snapshots: cursor.snapshots,
         })
     }
@@ -611,104 +655,26 @@ where
     fn run_cell_until<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
         stop_after: f64,
     ) -> Result<CheckpointOutcome, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
-        let mut sim = match &spec.init_counts {
-            Some(counts) => CountSimulator::from_counts(protocol, counts.clone(), spec.seed),
-            None => CountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
-        };
-        let mut driver = CountDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let mut cursor = DriveCursor::fresh(
-            &mut driver,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-        );
-        let finished = drive_schedule_from(
-            &mut driver,
-            &mut cursor,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            stop_after,
-        );
-        let (counts, rng_state) = (sim.counts().to_vec(), sim.rng().state());
-        let (interactions, parallel_time) = (sim.interactions(), sim.parallel_time());
-        let final_n = sim.population() as usize;
-        Ok(outcome(
-            finished,
-            TAG_COUNT,
-            spec,
-            cursor,
-            counts,
-            rng_state,
-            interactions,
-            parallel_time,
-            final_n,
-        ))
+        run_until::<Self, R>(protocol, spec, stop_after)
     }
 
     fn resume_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
         checkpoint: &RunCheckpoint,
         stop_after: f64,
     ) -> Result<CheckpointOutcome, CheckpointError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        checkpoint.check_spec(TAG_COUNT, Self::NAME, protocol.num_states(), spec)?;
-        let mut sim = CountSimulator::restore(
-            protocol,
-            checkpoint.counts.clone(),
-            SmallRng::from_state(checkpoint.rng_state),
-            checkpoint.interactions,
-            checkpoint.parallel_time,
-        );
-        let mut driver = CountDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let mut cursor = DriveCursor::resumed(
-            checkpoint.next_event as usize,
-            checkpoint.next_snapshot,
-            checkpoint.snapshots.clone(),
-        );
-        let finished = drive_schedule_from(
-            &mut driver,
-            &mut cursor,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            stop_after,
-        );
-        let (counts, rng_state) = (sim.counts().to_vec(), sim.rng().state());
-        let (interactions, parallel_time) = (sim.interactions(), sim.parallel_time());
-        let final_n = sim.population() as usize;
-        Ok(outcome(
-            finished,
-            TAG_COUNT,
-            spec,
-            cursor,
-            counts,
-            rng_state,
-            interactions,
-            parallel_time,
-            final_n,
-        ))
+        resume::<Self, R>(protocol, spec, checkpoint, stop_after)
     }
 }
 
@@ -719,104 +685,26 @@ where
     fn run_cell_until<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
         stop_after: f64,
     ) -> Result<CheckpointOutcome, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
-        let mut sim = match &spec.init_counts {
-            Some(counts) => BatchedCountSimulator::from_counts(protocol, counts.clone(), spec.seed),
-            None => BatchedCountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
-        };
-        let mut driver = BatchedDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let mut cursor = DriveCursor::fresh(
-            &mut driver,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-        );
-        let finished = drive_schedule_from(
-            &mut driver,
-            &mut cursor,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            stop_after,
-        );
-        let (counts, rng_state) = (sim.counts().to_vec(), sim.rng().state());
-        let (interactions, parallel_time) = (sim.interactions(), sim.parallel_time());
-        let final_n = sim.population() as usize;
-        Ok(outcome(
-            finished,
-            TAG_BATCHED,
-            spec,
-            cursor,
-            counts,
-            rng_state,
-            interactions,
-            parallel_time,
-            final_n,
-        ))
+        run_until::<Self, R>(protocol, spec, stop_after)
     }
 
     fn resume_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
         checkpoint: &RunCheckpoint,
         stop_after: f64,
     ) -> Result<CheckpointOutcome, CheckpointError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        checkpoint.check_spec(TAG_BATCHED, Self::NAME, protocol.num_states(), spec)?;
-        let mut sim = BatchedCountSimulator::restore(
-            protocol,
-            checkpoint.counts.clone(),
-            SmallRng::from_state(checkpoint.rng_state),
-            checkpoint.interactions,
-            checkpoint.parallel_time,
-        );
-        let mut driver = BatchedDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let mut cursor = DriveCursor::resumed(
-            checkpoint.next_event as usize,
-            checkpoint.next_snapshot,
-            checkpoint.snapshots.clone(),
-        );
-        let finished = drive_schedule_from(
-            &mut driver,
-            &mut cursor,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            stop_after,
-        );
-        let (counts, rng_state) = (sim.counts().to_vec(), sim.rng().state());
-        let (interactions, parallel_time) = (sim.interactions(), sim.parallel_time());
-        let final_n = sim.population() as usize;
-        Ok(outcome(
-            finished,
-            TAG_BATCHED,
-            spec,
-            cursor,
-            counts,
-            rng_state,
-            interactions,
-            parallel_time,
-            final_n,
-        ))
+        resume::<Self, R>(protocol, spec, checkpoint, stop_after)
     }
 }
 

@@ -35,8 +35,8 @@
 //!   state, so it lives in the protocol layer.
 
 use crate::backend::{
-    drive_schedule_guarded, reject_agent_features, validate_init_counts, validate_schedule,
-    AgentDriver, Backend, BackendError, CellSpec,
+    drive_count_cell, drive_schedule_guarded, initial_counts, reject_agent_features,
+    validate_schedule, AgentDriver, Backend, BackendError, CellSpec,
 };
 use crate::count_sim::CountSimulator;
 use crate::recording::Recording;
@@ -544,12 +544,11 @@ where
         protocol: P,
         spec: &CellSpec<'_, P::State>,
         plan: &CompiledFaultPlan,
-        recording: &R,
+        _recording: &R,
     ) -> Result<RunResult, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         if plan.targets_agents() {
             return Err(BackendError::AgentIndicesUnsupported {
@@ -566,51 +565,18 @@ where
             });
         }
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        validate_init_counts(Self::NAME, spec, protocol.num_states())?;
+        let mut counts = initial_counts(Self::NAME, &protocol, spec)?;
         let proto = protocol.clone();
         let mut frng = SmallRng::seed_from_u64(plan.run_rng_seed(spec.seed));
-        let mut counts = match &spec.init_counts {
-            Some(counts) => counts.clone(),
-            None => {
-                let mut fresh = vec![0u64; proto.num_states()];
-                fresh[proto.state_index(&proto.initial_state())] = spec.n as u64;
-                fresh
-            }
-        };
         if plan.is_adversarial_start() {
             counts = corrupt_all_counts(&proto, &counts, &mut frng);
         }
-        let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
-        debug_assert_eq!(sim.population(), spec.n as u64, "init counts must sum to n");
+        let sim = CountSimulator::from_counts(protocol, counts, spec.seed);
         let injections = plan.injections();
-        let snapshots = drive_schedule_guarded(
-            &mut crate::backend::CountDriver::<P, R> {
-                sim: &mut sim,
-                _plan: PhantomData,
-            },
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            spec.interaction_budget,
-            plan.times(),
-            &mut |d, k| {
-                if let InjectionAction::CorruptRandom { victims } = &injections[k].action {
-                    corrupt_random_counts(&proto, d.sim, *victims as u64, &mut frng);
-                }
-            },
-        )
-        .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
-            backend: Self::NAME,
-            interactions,
-            budget,
-        })?;
-        let final_n = sim.population() as usize;
-        Ok(RunResult {
-            seed: spec.seed,
-            snapshots,
-            ticks: Vec::new(),
-            recovery: Vec::new(),
-            final_n,
+        drive_count_cell::<Self, R>(sim, spec, plan.times(), &mut |sim, k| {
+            if let InjectionAction::CorruptRandom { victims } = &injections[k].action {
+                corrupt_random_counts(&proto, sim, *victims as u64, &mut frng);
+            }
         })
     }
 }

@@ -61,10 +61,8 @@ pub struct JumpSimulator<P: DeterministicProtocol> {
     rng: SmallRng,
     interactions: u64,
     parallel_time: f64,
-    /// `delta[si * S + sj]` = indices after `(si, sj)` interact.
-    delta: Vec<(usize, usize)>,
-    /// Pairs `(si, sj)` with `delta != identity`.
-    active: Vec<(usize, usize)>,
+    /// The state-changing ordered pairs, in `(si, sj)` order.
+    active: Vec<Transition>,
 }
 
 impl<P: DeterministicProtocol> JumpSimulator<P> {
@@ -75,23 +73,12 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     /// Panics if `counts.len() != num_states()`, or if probing detects a
     /// non-deterministic transition.
     pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
-        let s = protocol.num_states();
-        assert_eq!(counts.len(), s, "counts must cover every state");
-        let mut delta = Vec::with_capacity(s * s);
-        let mut active = Vec::new();
-        let mut probe_rng_a = SmallRng::seed_from_u64(0xDEAD);
-        let mut probe_rng_b = SmallRng::seed_from_u64(0xBEEF);
-        for si in 0..s {
-            for sj in 0..s {
-                let out_a = apply(&protocol, si, sj, &mut probe_rng_a);
-                let out_b = apply(&protocol, si, sj, &mut probe_rng_b);
-                assert_eq!(out_a, out_b, "transition ({si}, {sj}) is not deterministic");
-                if out_a != (si, sj) {
-                    active.push((si, sj));
-                }
-                delta.push(out_a);
-            }
-        }
+        assert_eq!(
+            counts.len(),
+            protocol.num_states(),
+            "counts must cover every state"
+        );
+        let active = Transition::probe_all(&protocol);
         let n = counts.iter().sum();
         JumpSimulator {
             protocol,
@@ -100,7 +87,6 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
             rng: SmallRng::seed_from_u64(seed),
             interactions: 0,
             parallel_time: 0.0,
-            delta,
             active,
         }
     }
@@ -146,17 +132,8 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     }
 
     /// Ordered pairs whose interaction would change something.
-    ///
-    /// Computed in u128: a single pair product reaches ~10¹⁸ at n = 10⁹
-    /// and the sum (like the total `n(n−1)`) exceeds u64 beyond n = 2³².
     fn effective_pairs(&self) -> u128 {
-        self.active
-            .iter()
-            .map(|&(si, sj)| {
-                let same = u64::from(si == sj);
-                u128::from(self.counts[si]) * u128::from(self.counts[sj].saturating_sub(same))
-            })
-            .sum()
+        self.active.iter().map(|t| t.weight(&self.counts)).sum()
     }
 
     /// Whether no interaction can change the configuration any more.
@@ -167,13 +144,8 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     /// Advances to (and applies) the next effective interaction.
     ///
     /// Returns `false` without advancing when the configuration is
-    /// quiescent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population has fewer than two agents.
+    /// quiescent — always so below two agents, where no pair exists.
     pub fn step_event(&mut self) -> bool {
-        assert!(self.n >= 2, "an interaction needs at least two agents");
         let w = self.effective_pairs();
         if w == 0 {
             return false;
@@ -209,17 +181,13 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
         } else {
             uniform_u128_below(&mut self.rng, w)
         };
-        for &(si, sj) in &self.active {
-            let same = u64::from(si == sj);
-            let pairs =
-                u128::from(self.counts[si]) * u128::from(self.counts[sj].saturating_sub(same));
+        for t in &self.active {
+            let pairs = t.weight(&self.counts);
             if r < pairs {
-                let s = self.protocol.num_states();
-                let (oi, oj) = self.delta[si * s + sj];
-                self.counts[si] -= 1;
-                self.counts[sj] -= 1;
-                self.counts[oi] += 1;
-                self.counts[oj] += 1;
+                self.counts[t.si] -= 1;
+                self.counts[t.sj] -= 1;
+                self.counts[t.oi] += 1;
+                self.counts[t.oj] += 1;
                 return true;
             }
             r -= pairs;
@@ -252,16 +220,63 @@ fn uniform_u128_below(rng: &mut impl Rng, span: u128) -> u128 {
     }
 }
 
-fn apply<P: FiniteProtocol>(
-    protocol: &P,
-    si: usize,
-    sj: usize,
-    rng: &mut impl Rng,
-) -> (usize, usize) {
-    let mut u = protocol.state_from_index(si);
-    let mut v = protocol.state_from_index(sj);
-    protocol.interact(&mut u, &mut v, rng);
-    (protocol.state_index(&u), protocol.state_index(&v))
+/// One state-changing ordered pair of a deterministic protocol: an
+/// initiator in state `si` meeting a responder in state `sj` leaves them in
+/// states `oi` and `oj`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Transition {
+    pub(crate) si: usize,
+    pub(crate) sj: usize,
+    pub(crate) oi: usize,
+    pub(crate) oj: usize,
+}
+
+impl Transition {
+    /// Probes every ordered state pair of `protocol` and returns the pairs
+    /// whose interaction changes a state, in `(si, sj)` order.
+    ///
+    /// Each pair is probed twice, with two fixed-seed generators: a
+    /// transition that consults the RNG for its *output* disagrees between
+    /// the probes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if probing detects a non-deterministic transition.
+    pub(crate) fn probe_all<P: FiniteProtocol>(protocol: &P) -> Vec<Self> {
+        let probe = |si: usize, sj: usize, rng: &mut SmallRng| {
+            let mut u = protocol.state_from_index(si);
+            let mut v = protocol.state_from_index(sj);
+            protocol.interact(&mut u, &mut v, rng);
+            (protocol.state_index(&u), protocol.state_index(&v))
+        };
+        let mut rng_a = SmallRng::seed_from_u64(0xDEAD);
+        let mut rng_b = SmallRng::seed_from_u64(0xBEEF);
+        let s = protocol.num_states();
+        let mut active = Vec::new();
+        for si in 0..s {
+            for sj in 0..s {
+                let (oi, oj) = probe(si, sj, &mut rng_a);
+                assert_eq!(
+                    (oi, oj),
+                    probe(si, sj, &mut rng_b),
+                    "transition ({si}, {sj}) is not deterministic"
+                );
+                if (oi, oj) != (si, sj) {
+                    active.push(Transition { si, sj, oi, oj });
+                }
+            }
+        }
+        active
+    }
+
+    /// Ordered pairs of distinct agents in states `(si, sj)` under
+    /// `counts`, in u128: a single product reaches ~10¹⁸ at n = 10⁹, and
+    /// sums of them (like the total `n(n−1)`) exceed u64 beyond n = 2³².
+    #[inline]
+    pub(crate) fn weight(&self, counts: &[u64]) -> u128 {
+        let same = u64::from(self.si == self.sj);
+        u128::from(counts[self.si]) * u128::from(counts[self.sj].saturating_sub(same))
+    }
 }
 
 #[cfg(test)]

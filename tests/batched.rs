@@ -154,11 +154,14 @@ fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
     );
 
     // A wide state space: bounded CHVP with m = 400 spans many blocks of
-    // the count backend's sampler index, while the batched exact stepper
-    // scans the full count vector through its probed delta table — an
-    // independent oracle for the wide path. Lemma 4.3 starts everyone at
-    // m; Lemma 4.4 starts one agent at m and the rest at 0. The crash
-    // schedule shrinks and regrows the population (fresh agents join at m).
+    // the count backend's sampler index. The batched backend's exact path
+    // is that same count simulator, so this pins the threshold dispatch
+    // and the event handling over a wide space; the independent oracle for
+    // the wide sampler is the reference-stepper proptest in
+    // `crates/sim/src/count_sim.rs`, which runs these two openings too.
+    // Lemma 4.3 starts everyone at m; Lemma 4.4 starts one agent at m and
+    // the rest at 0. The crash schedule shrinks and regrows the population
+    // (fresh agents join at m).
     let m = 400u32;
     for lemma44 in [false, true] {
         let sweep = || {
